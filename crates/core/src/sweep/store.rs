@@ -4,10 +4,9 @@
 //! store: one file per [`PointKey`], holding the three simulated
 //! runtimes of that point as exact IEEE-754 bit patterns. Because keys
 //! are content fingerprints of everything that influences simulated
-//! time (trace × platform × policy × topology × faults — and the
-//! replay engine is bit-identical by contract, so it is *not* part of
-//! the key), a verified entry is guaranteed to be the result the
-//! simulation would have produced, across processes, users, and time.
+//! time (trace × platform × policy × topology × faults), a verified
+//! entry is guaranteed to be the result the simulation would have
+//! produced, across processes, users, and time.
 //!
 //! Durability contract:
 //!

@@ -52,31 +52,19 @@ pub fn expand_collectives(trace: &Trace, algo: CollectiveAlgo) -> Trace {
         .insert("collectives".to_string(), algo.name().to_string());
 
     for (r, rt) in trace.ranks.iter().enumerate() {
-        expand_rank(nranks, r, &rt.records, algo, &mut out.ranks[r].records);
+        let rank = Rank(r as u32);
+        let mut instance = 0u32;
+        let records = &mut out.ranks[r].records;
+        // collectives expand to at most 2·(P−1) records each; reserving
+        // for the common tree case (≤ 2·log₂P + 2) avoids most regrowth
+        records.reserve(rt.records.len() + 4);
+        for rec in &rt.records {
+            expand_one(nranks, rank, rec, &mut instance, algo, &mut |r| {
+                records.push(r)
+            });
+        }
     }
     out
-}
-
-/// Expand one rank's record stream into `out`. Each rank's expansion is
-/// independent — the instance counter that keys the internal tags is
-/// per-rank, and trace validation guarantees ranks agree on the
-/// collective sequence — so the parallel replay driver fans this out
-/// across worker threads, one rank per call, with bit-identical output.
-pub(crate) fn expand_rank(
-    nranks: usize,
-    r: usize,
-    records: &[Record],
-    algo: CollectiveAlgo,
-    out: &mut Vec<Record>,
-) {
-    let rank = Rank(r as u32);
-    let mut instance = 0u32;
-    // collectives expand to at most 2·(P−1) records each; reserving
-    // for the common tree case (≤ 2·log₂P + 2) avoids most regrowth
-    out.reserve(records.len() + 4);
-    for rec in records {
-        expand_one(nranks, rank, rec, &mut instance, algo, &mut |r| out.push(r));
-    }
 }
 
 /// Expand a single record: collectives become their point-to-point

@@ -50,15 +50,15 @@ pub use net::{
 pub use platform::{CollectiveAlgo, Platform};
 pub use probe::{EventKind, Metrics, NoopSink, ProbeSink, TeeSink, WaitEdge, WindowedRecorder};
 pub use replay::{
-    render_exact, replay_scale, simulate, simulate_probed, simulate_probed_with, simulate_source,
+    render_exact, replay_scale, simulate, simulate_probed, simulate_source,
     simulate_source_probed_with, simulate_source_with, simulate_with, NetworkStats, ReplayEngine,
     ScaleReport, SimError, SimResult,
 };
 pub use time::Time;
 pub use timeline::{CommRecord, Interval, State, StateTotals, Timeline};
 
-// The parallel sweep engine (ovlp-core::sweep) replays traces from
-// worker threads; everything crossing [`simulate`]'s boundary must stay
+// The sweep worker pool (ovlp-core::sweep) replays traces from worker
+// threads, one replay per thread; everything crossing [`simulate`]'s boundary must stay
 // thread-safe. These assertions turn an accidental `Rc`/`RefCell`/raw
 // pointer regression into a compile error right here.
 const _: () = {

@@ -58,8 +58,6 @@ pub struct SweepSpec {
     /// Fault scenarios; each platform is additionally swept fault-free
     /// (the retention baseline). Default: none.
     pub faults: Vec<FaultSchedule>,
-    /// Replay engine (bit-identical either way; not part of point keys).
-    pub engine: ReplayEngine,
     /// Worker threads for grid evaluation.
     pub jobs: usize,
     /// Record critical paths with per-rank blame attribution for every
@@ -78,7 +76,6 @@ impl SweepSpec {
             buses: Vec::new(),
             topologies: Vec::new(),
             faults: Vec::new(),
-            engine: ReplayEngine::Sequential,
             jobs: 1,
             critpath: false,
         }
@@ -142,12 +139,14 @@ impl SweepSpec {
         if let Some(v) = obj.get("faults") {
             spec.faults = parsed_list(v, "faults")?;
         }
+        // Legacy field: there is one replay engine, but documents (and
+        // journal headers) written while there were two still name one.
+        // Every spelling that was valid then is accepted and ignored.
         if let Some(v) = obj.get("engine") {
             let s = v
                 .as_str()
                 .ok_or_else(|| usage("`engine` must be a string"))?;
-            spec.engine = s
-                .parse()
+            s.parse::<ReplayEngine>()
                 .map_err(|e| usage(format!("bad `engine` value `{s}`: {e}")))?;
         }
         if let Some(v) = obj.get("critpath") {
@@ -197,7 +196,8 @@ impl SweepSpec {
                     .collect(),
             ),
         );
-        o.set("engine", Value::str(engine_name(self.engine)));
+        // kept so default-job journal headers stay byte-identical
+        o.set("engine", Value::str("seq"));
         o.set("critpath", Value::Bool(self.critpath));
         Value::Obj(o).to_string()
     }
@@ -305,17 +305,9 @@ impl SweepSpec {
                 .map(|&c| ChunkPolicy::with_chunks(c))
                 .collect(),
         };
-        let mut config = SweepConfig::with_jobs(self.jobs).with_engine(self.engine);
+        let mut config = SweepConfig::with_jobs(self.jobs);
         config.critpath = self.critpath;
         Ok((grid, config))
-    }
-}
-
-/// Canonical engine name for serialization (`seq`, `par`, `par:N`).
-pub fn engine_name(engine: ReplayEngine) -> String {
-    match engine {
-        ReplayEngine::Sequential => "seq".to_string(),
-        ReplayEngine::Parallel { workers } => format!("par:{workers}"),
     }
 }
 
@@ -377,7 +369,7 @@ mod tests {
         assert_eq!(g1.len(), 2 * 2 * 2 * 2);
         assert_eq!(g1.len(), g2.len());
         assert_eq!(c1.jobs, 2);
-        assert_eq!(c1.engine, c2.engine);
+        assert_eq!(c1.jobs, c2.jobs);
         for (a, b) in g1.platforms.iter().zip(&g2.platforms) {
             assert_eq!(
                 ovlp_core::sweep::platform_fingerprint(a),
@@ -439,6 +431,43 @@ mod tests {
         assert_eq!(grid.policies.len(), 4);
         assert_eq!(grid.platforms.len(), 1);
         assert_eq!(config.jobs, 1);
-        assert_eq!(config.engine, ReplayEngine::Sequential);
+    }
+
+    /// Journal headers and requests written while a parallel engine
+    /// existed name it; they must keep parsing, and re-serialize as the
+    /// one engine. Values that were invalid then stay invalid.
+    #[test]
+    fn legacy_engine_values_recover_and_serialize_as_seq() {
+        let doc = |engine: &str| {
+            format!(
+                r#"{{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":4,"engine":{engine}}}"#
+            )
+        };
+        let default_json = SweepSpec::new("nas-cg", 4).to_json();
+        assert!(default_json.contains(r#""engine":"seq""#), "{default_json}");
+        for legacy in [
+            "seq",
+            "sequential",
+            "par",
+            "parallel",
+            "par:1",
+            "par:2",
+            "parallel:8",
+        ] {
+            let spec = SweepSpec::from_json(&doc(&format!("\"{legacy}\""))).unwrap();
+            assert_eq!(spec.to_json(), default_json, "{legacy}");
+        }
+        for bad in [
+            r#""par:0""#,
+            r#""parallel:0""#,
+            r#""warp""#,
+            "3",
+            "true",
+            "null",
+        ] {
+            let err = SweepSpec::from_json(&doc(bad)).unwrap_err();
+            assert!(matches!(err, SpecError::Usage(_)), "{bad}");
+            assert!(err.to_string().contains("engine"), "{bad} -> {err}");
+        }
     }
 }

@@ -24,6 +24,7 @@ Usage: check_sweep_job_schema.py <doc.json|stream.ndjson> [more ...]
 """
 
 import json
+import re
 import sys
 
 
@@ -48,6 +49,20 @@ def is_count(x):
 def no_unknown_keys(path, doc, known):
     for key in doc:
         expect(key in known, path, f"unknown field {key!r}")
+
+
+# `N` of `par:N`/`parallel:N` as Rust's `usize::from_str` reads it: an
+# optional `+`, then ASCII digits only.
+ENGINE_WORKERS = re.compile(r"\A(?:par|parallel):\+?([0-9]+)\Z")
+
+
+def engine_ok(e):
+    """Accept exactly the spellings `ReplayEngine::from_str` accepts. There
+    is one replay engine; the parallel forms are legacy aliases for it."""
+    if e in ("seq", "sequential", "par", "parallel"):
+        return True
+    m = ENGINE_WORKERS.match(e)
+    return m is not None and 1 <= int(m.group(1)) < 2**64
 
 
 def check_job(path, doc):
@@ -76,8 +91,10 @@ def check_job(path, doc):
                 expect(pred(v), path, f"{axis} entry {v!r} is not {what}")
     if "engine" in doc:
         e = doc["engine"]
-        ok = e in ("seq", "par") or (e.startswith("par:") and e[4:].isdigit() and int(e[4:]) >= 1)
-        expect(isinstance(e, str) and ok, path, f"engine {e!r} is not seq|par[:N]")
+        expect(isinstance(e, str), path, f"engine {e!r} is not a string")
+        expect(
+            engine_ok(e), path, f"engine {e!r} is not seq|sequential|par[:N]|parallel[:N]"
+        )
     if "critpath" in doc:
         expect(isinstance(doc["critpath"], bool), path, "critpath must be a boolean")
 

@@ -5,15 +5,15 @@
 //! the help text cannot drift from what the binary accepts.
 
 use overlap_sim::core::chunk::ChunkPolicy;
-use overlap_sim::core::experiments::{run_variants, run_variants_full_with, run_variants_probed};
+use overlap_sim::core::experiments::{run_variants, run_variants_full, run_variants_probed};
 use overlap_sim::core::patterns::{consumption_stats, production_stats};
 use overlap_sim::core::pipeline::{build_variants, VariantBundle};
 use overlap_sim::core::presets::marenostrum_for;
 use overlap_sim::core::report::{pct, table2a, table2b};
 use overlap_sim::machine::{
-    replay_scale, simulate, simulate_probed_with, simulate_source_probed_with,
-    simulate_source_with, simulate_with, ContentionModel, CritPathRecorder, FaultSchedule,
-    Platform, ProbeSink, ReplayEngine, SimError, SimResult, TeeSink, Time, WindowedRecorder,
+    replay_scale, simulate, simulate_probed, simulate_source, simulate_source_probed_with,
+    ContentionModel, CritPathRecorder, FaultSchedule, Platform, ProbeSink, ReplayEngine, SimError,
+    SimResult, TeeSink, Time, WindowedRecorder,
 };
 use overlap_sim::trace::text;
 use overlap_sim::viz::{gantt_comparison, link_heatmap_ascii, paraver, timeline_svg};
@@ -53,8 +53,7 @@ const COMMANDS: &[Cmd] = &[
     Cmd {
         name: "simulate",
         args: "<trace.trf|app> [bw] [buses] [--ranks N] [--stream] [--topology T] \
-               [--faults SPEC] [--metrics out.json] [--probe-window us] [--critpath] \
-               [--engine seq|par[:N]]",
+               [--faults SPEC] [--metrics out.json] [--probe-window us] [--critpath]",
         about: "replay a trace file or pool app on a platform",
     },
     Cmd {
@@ -101,7 +100,7 @@ const COMMANDS: &[Cmd] = &[
         name: "sweep",
         args: "<app> <ranks> [--jobs N] [--chunks a,b,..] [--bw a,b,..] [--buses a,b,..] \
                [--topology t1,t2,..] [--faults f1,f2,..] [--store dir] [--metrics dir] \
-               [--probe-window us] [--critpath] [--engine seq|par[:N]]",
+               [--probe-window us] [--critpath]",
         about: "parallel parameter sweep over platforms x policies",
     },
     Cmd {
@@ -249,10 +248,10 @@ enum SimInput<'a> {
 }
 
 impl SimInput<'_> {
-    fn run(&self, platform: &Platform, engine: ReplayEngine) -> Result<SimResult, SimError> {
+    fn run(&self, platform: &Platform) -> Result<SimResult, SimError> {
         match self {
-            SimInput::Trace(t) => simulate_with(t, platform, engine),
-            SimInput::Stream(s) => simulate_source_with(*s, platform, engine),
+            SimInput::Trace(t) => simulate(t, platform),
+            SimInput::Stream(s) => simulate_source(*s, platform),
         }
     }
 
@@ -260,11 +259,12 @@ impl SimInput<'_> {
         &self,
         platform: &Platform,
         probe: &mut P,
-        engine: ReplayEngine,
     ) -> Result<SimResult, SimError> {
         match self {
-            SimInput::Trace(t) => simulate_probed_with(t, platform, probe, engine),
-            SimInput::Stream(s) => simulate_source_probed_with(*s, platform, probe, engine),
+            SimInput::Trace(t) => simulate_probed(t, platform, probe),
+            SimInput::Stream(s) => {
+                simulate_source_probed_with(*s, platform, probe, ReplayEngine::Sequential)
+            }
         }
     }
 }
@@ -470,23 +470,15 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail_usage(e),
     };
-    let engine = match parse_flag(rest, "--engine", ReplayEngine::Sequential) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
+    if let Err(e) = legacy_engine_flag(rest) {
+        return fail_usage(e);
+    }
     let ranks_flag = match parse_opt_flag::<usize>(rest, "--ranks") {
         Ok(v) => v,
         Err(e) => return fail_usage(e),
     };
     let want_critpath = rest.contains(&"--critpath");
     let stream = rest.contains(&"--stream");
-    if stream && matches!(engine, ReplayEngine::Parallel { .. }) {
-        return fail_usage(
-            "--stream drives the sequential engine (the parallel compile pass \
-             materializes the whole trace); drop --engine par"
-                .to_string(),
-        );
-    }
     // The positional either names a trace file on disk or a pool app
     // (`ovlp list`); files win when both exist.
     let entry = overlap_sim::apps::registry::by_name(path);
@@ -585,7 +577,7 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
             None => {
                 // auto window: 1/256 of this trace's runtime, measured
                 // by an extra (cheap, deterministic) unprobed replay
-                let base = match input.run(&platform, engine) {
+                let base = match input.run(&platform) {
                     Ok(r) => r,
                     Err(e) => return fail(e.to_string()),
                 };
@@ -596,27 +588,27 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         None
     };
     let (r, metrics, critpath) = match (window, want_critpath) {
-        (None, false) => match input.run(&platform, engine) {
+        (None, false) => match input.run(&platform) {
             Ok(r) => (r, None, None),
             Err(e) => return fail(e.to_string()),
         },
         (Some(w), false) => {
             let mut rec = WindowedRecorder::new(w);
-            match input.run_probed(&platform, &mut rec, engine) {
+            match input.run_probed(&platform, &mut rec) {
                 Ok(r) => (r, Some(rec.into_metrics()), None),
                 Err(e) => return fail(e.to_string()),
             }
         }
         (None, true) => {
             let mut rec = CritPathRecorder::new();
-            match input.run_probed(&platform, &mut rec, engine) {
+            match input.run_probed(&platform, &mut rec) {
                 Ok(r) => (r, None, Some(rec.into_critpath())),
                 Err(e) => return fail(e.to_string()),
             }
         }
         (Some(w), true) => {
             let mut tee = TeeSink(WindowedRecorder::new(w), CritPathRecorder::new());
-            match input.run_probed(&platform, &mut tee, engine) {
+            match input.run_probed(&platform, &mut tee) {
                 Ok(r) => {
                     let TeeSink(windowed, crit) = tee;
                     (r, Some(windowed.into_metrics()), Some(crit.into_critpath()))
@@ -825,7 +817,7 @@ fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
     };
     let want_critpath = rest.contains(&"--critpath");
     let (r, metrics, critpaths) = if want_critpath {
-        match run_variants_full_with(&bundle, &platform, window, ReplayEngine::Sequential) {
+        match run_variants_full(&bundle, &platform, window) {
             Ok((r, m, c)) => (r, m, Some(c)),
             Err(e) => return fail(e.to_string()),
         }
@@ -941,10 +933,9 @@ fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail_usage(e),
     };
-    spec.engine = match parse_flag(rest, "--engine", ReplayEngine::Sequential) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
+    if let Err(e) = legacy_engine_flag(rest) {
+        return fail_usage(e);
+    }
     let (grid, mut config) = match spec.build() {
         Ok(v) => v,
         Err(SpecError::Usage(m)) => return fail_usage(m),
@@ -1169,6 +1160,13 @@ where
                 .map_err(|e| format!("bad {flag} value `{v}`: {e}")),
         },
     }
+}
+
+/// `--engine` from the days of two replay engines: still validated, so
+/// a malformed value stays a usage error, but every valid spelling
+/// selects the one engine there is.
+fn legacy_engine_flag(args: &[&str]) -> Result<(), String> {
+    parse_opt_flag::<ReplayEngine>(args, "--engine").map(drop)
 }
 
 /// `--flag value` lookup returning `None` when the flag is absent.

@@ -211,53 +211,3 @@ fn resilience_sweep_is_bit_identical_across_jobs() {
     // one retention row per (policy, scenario)
     assert_eq!(retention.lines().count(), 2 + 2 * 2, "{retention}");
 }
-
-/// Satellite coverage for the parallel replay driver: kill, degrade,
-/// and restore faults striking mid-replay must match the sequential
-/// engine byte for byte at every flow topology — including the
-/// schedule that partitions the fabric and fails the replay.
-#[test]
-fn fault_schedules_match_sequential_under_parallel_engine() {
-    use overlap_sim::machine::{render_exact, simulate_with, ReplayEngine};
-    let cases = [
-        (
-            "sweep3d_4r.trf",
-            vec!["crossbar", "fat-tree:4", "torus:2x2"],
-        ),
-        (
-            "nas_cg_8r.trf",
-            vec!["crossbar", "fat-tree:4", "torus:2x2x2"],
-        ),
-    ];
-    for (name, topologies) in cases {
-        let trace = fixture(name);
-        for spec in topologies {
-            let base = Platform::default().with_contention(spec.parse().unwrap());
-            // Schedules spanning all three actions. On the crossbar the
-            // mid-run kill partitions the fabric: the *error* must then
-            // be identical too. Fat-tree/torus reroute around it.
-            let link = match spec {
-                "crossbar" => "n0->sw",
-                "fat-tree:4" => "e0->a0",
-                _ => "n0->n1(+x)",
-            };
-            let schedules = [
-                format!("degrade=0.5@30us:{link};restore@90us:{link}"),
-                format!("kill@50us:{link};restore@120us:{link}"),
-                format!("degrade=0.25@20us:{link};kill@60us:{link};restore@100us:{link}"),
-            ];
-            for schedule in &schedules {
-                let p = base.clone().with_faults(faults(schedule));
-                let seq = simulate(&trace, &p);
-                for workers in [2usize, 8] {
-                    let par = simulate_with(&trace, &p, ReplayEngine::Parallel { workers });
-                    assert_eq!(
-                        render_exact(&seq),
-                        render_exact(&par),
-                        "{name} on {spec} with {schedule}: parallel:{workers} diverged"
-                    );
-                }
-            }
-        }
-    }
-}

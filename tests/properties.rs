@@ -11,7 +11,7 @@ use overlap_sim::core::chunk::ChunkPolicy;
 use overlap_sim::core::pipeline::build_variants;
 use overlap_sim::instr::trace_app;
 use overlap_sim::machine::{simulate, Platform};
-use overlap_sim::trace::validate;
+use overlap_sim::trace::{synth, validate};
 use proptest::prelude::*;
 
 fn production_strategy() -> impl Strategy<Value = Production> {
@@ -141,5 +141,14 @@ proptest! {
             ).unwrap();
             prop_assert_eq!(t, &parsed);
         }
+    }
+
+    /// The seeded application generator (`synth`) yields a valid trace
+    /// for every seed.
+    #[test]
+    fn generated_apps_are_valid(seed in 0u64..u64::MAX) {
+        let trace = synth::generate(seed);
+        let errors = validate(&trace);
+        prop_assert!(errors.is_empty(), "validation errors: {:?}", errors);
     }
 }
