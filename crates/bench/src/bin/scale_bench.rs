@@ -4,9 +4,11 @@
 //! [`ovlp_machine::replay_scale`] at a ladder of rank counts and
 //! records, per point: ranks, streamed record count, the records
 //! resident high-water mark (the number the whole streaming tentpole
-//! exists to keep flat), events/sec, and the process RSS high-water
-//! mark from `/proc/self/status` (ground truth that the engine-level
-//! counter is honest). The measurements are written to
+//! exists to keep flat), events/sec, the grant path's resource-acquire
+//! attempts (`grant_steps`, linear in transfers since the wait lists
+//! replaced the first-fit scan), and the process RSS high-water mark
+//! from `/proc/self/status` (ground truth that the engine-level counter
+//! is honest). The measurements are written to
 //! `BENCH_scale.json` (schema `ovlp.bench_scale.v1`) so the memory
 //! trajectory is tracked in-repo; `scripts/check_scale_bench.py`
 //! validates the document and CI's `scale-smoke` job re-runs the quick
@@ -40,6 +42,7 @@ struct Point {
     records_peak: u64,
     events: u64,
     transfers: u64,
+    grant_steps: u64,
     queue_peak: usize,
     msg_slots: usize,
     req_slots: usize,
@@ -140,6 +143,7 @@ fn main() {
             records_peak: rep.records_peak,
             events: rep.events_processed,
             transfers: rep.transfers,
+            grant_steps: rep.grant_steps,
             queue_peak: rep.queue_peak,
             msg_slots: rep.msg_slots,
             req_slots: rep.req_slots,
@@ -152,12 +156,13 @@ fn main() {
         };
         println!(
             "{APP} {:>8} ranks  {:>11} records ({:>9} resident peak)  {:>11} events  \
-             {:>12.0} events/s  wall {:>8.3} s  rss peak {}",
+             {:>12.0} events/s  {:>5.2} grant steps/transfer  wall {:>8.3} s  rss peak {}",
             p.ranks,
             p.records_total,
             p.records_peak,
             p.events,
             p.events_per_sec,
+            p.grant_steps as f64 / p.transfers.max(1) as f64,
             p.wall_s,
             p.rss_peak_bytes
                 .map(|b| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0)))
@@ -174,14 +179,16 @@ fn main() {
     for (i, p) in results.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"ranks\": {}, \"records_total\": {}, \"records_peak\": {}, \
-             \"events\": {}, \"transfers\": {}, \"queue_peak\": {}, \"msg_slots\": {}, \
-             \"req_slots\": {}, \"chan_slots\": {}, \"wall_s\": {}, \"events_per_sec\": {}, \
-             \"sim_runtime_s\": {}, \"efficiency\": {}, \"rss_peak_bytes\": {}}}{}",
+             \"events\": {}, \"transfers\": {}, \"grant_steps\": {}, \"queue_peak\": {}, \
+             \"msg_slots\": {}, \"req_slots\": {}, \"chan_slots\": {}, \"wall_s\": {}, \
+             \"events_per_sec\": {}, \"sim_runtime_s\": {}, \"efficiency\": {}, \
+             \"rss_peak_bytes\": {}}}{}",
             p.ranks,
             p.records_total,
             p.records_peak,
             p.events,
             p.transfers,
+            p.grant_steps,
             p.queue_peak,
             p.msg_slots,
             p.req_slots,

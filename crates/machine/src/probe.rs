@@ -131,7 +131,7 @@ pub trait ProbeSink {
     ) {
     }
 
-    /// A send record executed: message `msg` entered the pending queue
+    /// A send record executed: message `msg` became pending
     /// at `at` (the sender's local time). `rendezvous` reflects the
     /// *effective* mode after the platform's eager threshold.
     #[allow(clippy::too_many_arguments)]

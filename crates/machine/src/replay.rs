@@ -10,13 +10,18 @@
 //! A point-to-point transfer passes through three phases:
 //!
 //! 1. **Initiation** — the sender executes the send record at its local
-//!    time `t_send`. The message enters the pending queue.
+//!    time `t_send`. The message is pending and carries an initiation
+//!    sequence number.
 //! 2. **Grant** — the message atomically acquires its resource triple
 //!    (sender output port, receiver input port, one global bus) at
-//!    `t_start ≥ t_send`; grants happen in a deterministic first-fit
-//!    scan of the pending queue. A rendezvous-mode message additionally
-//!    requires the matching receive to be posted before it can be
-//!    granted.
+//!    `t_start ≥ t_send`. Grants follow a deterministic first-fit order:
+//!    whenever a send, a rendezvous match or a release may have freed a
+//!    way forward, pending messages are granted in initiation order. The
+//!    engine finds them through per-resource wait lists instead of
+//!    scanning every pending message (see the `grant` module for the
+//!    invariant that makes this exact). A rendezvous-mode message
+//!    additionally requires the matching receive to be posted before it
+//!    can be granted.
 //! 3. **Delivery** — the transfer occupies its resources for
 //!    `latency + size/bandwidth` and completes at `t_arrive`.
 //!
@@ -43,8 +48,10 @@ use ovlp_trace::{Bytes, Rank, ReqId, Tag, Trace};
 use std::collections::{HashMap, VecDeque};
 use std::str::FromStr;
 
+mod grant;
 mod supply;
 
+use grant::WaitLists;
 use supply::Supply;
 
 /// Which replay driver advances the simulation.
@@ -263,10 +270,12 @@ pub fn simulate_probed<P: ProbeSink>(
     simulate_inner(trace, platform, probe, false)
 }
 
-/// [`simulate`], but forcing the from-scratch max-min solver instead of
-/// the incremental one. Results are bit-identical by construction; this
+/// [`simulate`], but forcing the reference algorithms: the naive
+/// first-fit grant scan over every pending message instead of the wait
+/// lists, and the from-scratch max-min solver instead of the
+/// incremental one. Results are bit-identical by construction; this
 /// entry exists so the test suite (and bisections) can cross-validate
-/// whole replays against the reference solver.
+/// whole replays against the oracles.
 #[doc(hidden)]
 pub fn simulate_reference(trace: &Trace, platform: &Platform) -> Result<SimResult, SimError> {
     simulate_inner(trace, platform, &mut NoopSink, true)
@@ -345,6 +354,10 @@ pub struct ScaleReport {
     pub req_slots: usize,
     /// Channel-slot high-water mark.
     pub chan_slots: usize,
+    /// Resource-acquire attempts by the grant path: linear in
+    /// `transfers` when grants are found through the wait lists, the
+    /// engine self-counter that exposes a quadratic scan.
+    pub grant_steps: u64,
     /// State totals summed across ranks (rank order, deterministic).
     pub totals: StateTotals,
 }
@@ -455,7 +468,9 @@ fn simulate_inner<P: ProbeSink>(
         trace
     };
     let (flownet, faults) = net_setup(trace.nranks(), platform, reference)?;
-    Engine::new(Supply::Slice(trace), platform, flownet, faults, probe).run()
+    let mut eng = Engine::new(Supply::Slice(trace), platform, flownet, faults, probe);
+    eng.reference = reference;
+    eng.run()
 }
 
 /// Lossless rendering of a replay outcome: Rust's `{:?}` for `f64`
@@ -489,6 +504,9 @@ enum Link {
 
 #[derive(Debug)]
 struct Msg {
+    /// Initiation sequence number: the grant order. It rises with the
+    /// message id except in summary mode, which recycles slots.
+    seq: u64,
     src: usize,
     dst: usize,
     tag: Tag,
@@ -501,7 +519,9 @@ struct Msg {
     /// Index of the paired receive request, once matched.
     paired: Option<usize>,
     /// Rank blocked on this message (blocking send, or wait on isend).
-    waiter: Option<usize>,
+    /// Stored as `u32`, the width of a trace `Rank`, so that `seq` does
+    /// not grow the message table.
+    waiter: Option<u32>,
     waiter_since: Time,
     /// The sender has fully observed this message (its wait consumed
     /// the release time, or its parked waiter was resumed). Maintained
@@ -608,8 +628,16 @@ struct Engine<'a, P: ProbeSink> {
     /// plus a vector index.
     chan_ids: HashMap<(u32, u32, u32), u32, FxBuildHasher>,
     channels: Vec<Channel>,
-    pending: VecDeque<usize>,
     resources: Resources,
+    /// Pending messages queued on the resources they wait for.
+    waits: WaitLists,
+    /// Resource-acquire attempts (engine self-counter).
+    grant_steps: u64,
+    /// Grant through the naive scan instead of the wait lists (the
+    /// [`simulate_reference`] oracle).
+    reference: bool,
+    /// Reference scan: every message before this id is settled.
+    scan_from: usize,
     /// Tag each receive request was posted with (for state labeling).
     recv_req_tags: Vec<Tag>,
     /// Flow-level network state when the platform selected
@@ -685,7 +713,10 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             recv_reqs: Vec::new(),
             chan_ids: HashMap::default(),
             channels: Vec::new(),
-            pending: VecDeque::new(),
+            waits: WaitLists::new(n),
+            grant_steps: 0,
+            reference: false,
+            scan_from: 0,
             recv_req_tags: Vec::new(),
             resources: Resources::with_wan(
                 n,
@@ -876,6 +907,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             msg_slots: self.msgs.len(),
             req_slots: self.recv_reqs.len(),
             chan_slots: self.channels.len(),
+            grant_steps: self.grant_steps,
             totals,
         })
     }
@@ -1035,7 +1067,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 )
             }
             Blocked::OnMsg { since, .. } => {
-                match self.msgs.iter().find(|m| m.waiter == Some(rank)) {
+                match self.msgs.iter().find(|m| m.waiter == Some(rank as u32)) {
                     Some(m) => format!(
                         "waiting since {:?} on send(dst={}, tag={}, {:?}, {:?})",
                         since, m.dst, m.tag.0, m.mode, m.state
@@ -1195,7 +1227,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             if self.msgs[mid].mode == SendMode::Rendezvous
                 && self.msgs[mid].state == MsgState::Pending
             {
-                self.try_start_all(now)?;
+                self.offer(mid, now)?;
             }
         }
         Ok(idx)
@@ -1219,6 +1251,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             Link::Wan
         };
         let fresh = Msg {
+            seq: self.transfers_total,
             src,
             dst,
             tag,
@@ -1265,8 +1298,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         } else {
             ch.unmatched_msgs.push_back(mid);
         }
-        self.pending.push_back(mid);
-        self.try_start_all(now)?;
+        self.offer(mid, now)?;
         Ok(mid)
     }
 
@@ -1285,7 +1317,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             self.complete_recv_req(req, t1);
         }
         // rendezvous messages may have been waiting for this match
-        // (grant attempted by the caller via try_start_all where needed)
+        // (the caller offers them for a grant where needed)
     }
 
     /// Summary mode: recycle a message slot (and its paired receive
@@ -1347,97 +1379,80 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         }
     }
 
-    /// First-fit scan of the pending queue, granting resources to every
-    /// startable transfer at time `now`. Fails only when a killed link
-    /// left a transfer's endpoints disconnected.
-    fn try_start_all(&mut self, now: Time) -> Result<(), SimError> {
-        let mut i = 0;
-        while i < self.pending.len() {
-            let mid = self.pending[i];
-            let (src, dst, mode, paired, bytes, link) = {
-                let m = &self.msgs[mid];
-                (m.src, m.dst, m.mode, m.paired, m.bytes, m.link)
-            };
-            if mode == SendMode::Rendezvous && paired.is_none() {
-                i += 1;
-                continue;
+    /// Start message `mid`'s transfer at `now`; its resources are
+    /// already acquired. Fails only when a killed link left the
+    /// endpoints disconnected.
+    fn start_transfer(&mut self, mid: usize, now: Time) -> Result<(), SimError> {
+        let (src, dst, mode, bytes, link) = {
+            let m = &self.msgs[mid];
+            (m.src, m.dst, m.mode, m.bytes, m.link)
+        };
+        self.msgs[mid].t_start = now;
+        if P::ENABLED {
+            self.probe.on_injected(src, now, bytes.get());
+            if link != Link::Intra {
+                self.in_flight += 1;
+                self.probe.on_transfer_start(
+                    now,
+                    self.in_flight,
+                    self.resources.buses_in_use(),
+                    self.resources.ports_in_use(),
+                );
             }
-            let granted = match link {
-                Link::Intra => true,
-                Link::Net => self.resources.try_acquire(src, dst),
-                Link::Wan => self.resources.try_acquire_wan(src, dst),
-            };
-            if !granted {
-                i += 1;
-                continue;
-            }
-            self.pending.remove(i);
-            self.msgs[mid].t_start = now;
-            if P::ENABLED {
-                self.probe.on_injected(src, now, bytes.get());
-                if link != Link::Intra {
-                    self.in_flight += 1;
-                    self.probe.on_transfer_start(
-                        now,
-                        self.in_flight,
-                        self.resources.buses_in_use(),
-                        self.resources.ports_in_use(),
-                    );
-                }
-            }
-            let flow_mode = self.flownet.is_some() && link == Link::Net;
-            let t1 = if flow_mode {
-                // flow-level: register the flow; its completion arrives
-                // as an epoch-guarded FlowDone, `t1` is only the current
-                // estimate
-                self.start_flow(mid, src, dst, bytes, now)?
-            } else {
-                let t1 = now
-                    + match link {
-                        Link::Intra => self.platform.intra_transfer_time(bytes),
-                        Link::Net => self.platform.transfer_time(bytes),
-                        Link::Wan => self.platform.wan_transfer_time(bytes),
-                    };
-                self.queue.push(t1, Event::TransferDone { msg: mid });
-                t1
-            };
-            self.msgs[mid].state = MsgState::Flying { t1 };
-            if P::ENABLED {
-                // the uncontended arrival of a flow-level transfer is
-                // reported by the allocator (`on_flow_path`); closed-form
-                // link classes arrive exactly at `t1`
-                let unc = if flow_mode { None } else { Some(t1) };
-                self.probe
-                    .on_transfer_granted(mid, now, self.injection_latency(link), unc);
-            }
-            // a sender parked on this message can now compute its
-            // release time (a rendezvous sender in flow mode cannot:
-            // it stays parked until the actual FlowDone)
-            if let Some(w) = self.msgs[mid].waiter {
-                let resume = match mode {
-                    SendMode::Eager => Some(now + self.injection_latency(link)),
-                    SendMode::Rendezvous if !flow_mode => Some(t1),
-                    SendMode::Rendezvous => None,
+        }
+        let flow_mode = self.flownet.is_some() && link == Link::Net;
+        let t1 = if flow_mode {
+            // flow-level: register the flow; its completion arrives
+            // as an epoch-guarded FlowDone, `t1` is only the current
+            // estimate
+            self.start_flow(mid, src, dst, bytes, now)?
+        } else {
+            let t1 = now
+                + match link {
+                    Link::Intra => self.platform.intra_transfer_time(bytes),
+                    Link::Net => self.platform.transfer_time(bytes),
+                    Link::Wan => self.platform.wan_transfer_time(bytes),
                 };
-                if let Some(resume) = resume {
-                    let since = self.msgs[mid].waiter_since;
-                    if let Blocked::OnMsg { state, .. } = self.ranks[w].blocked {
-                        self.push_state(w, since, resume, state);
-                        if P::ENABLED && resume > since {
-                            let edge = if mode == SendMode::Eager {
-                                WaitEdge::Injection
-                            } else {
-                                WaitEdge::Arrival
-                            };
-                            self.probe.on_wait_edge(w, since, resume, mid, edge);
-                        }
-                        self.queue.push(resume, Event::Resume { rank: w });
-                        self.ranks[w].blocked = Blocked::ResumeScheduled;
-                        self.msgs[mid].waiter = None;
-                        // the parked sender is scheduled and will never
-                        // look at this message again
-                        self.msgs[mid].send_done = true;
+            self.queue.push(t1, Event::TransferDone { msg: mid });
+            t1
+        };
+        self.msgs[mid].state = MsgState::Flying { t1 };
+        if P::ENABLED {
+            // the uncontended arrival of a flow-level transfer is
+            // reported by the allocator (`on_flow_path`); closed-form
+            // link classes arrive exactly at `t1`
+            let unc = if flow_mode { None } else { Some(t1) };
+            self.probe
+                .on_transfer_granted(mid, now, self.injection_latency(link), unc);
+        }
+        // a sender parked on this message can now compute its
+        // release time (a rendezvous sender in flow mode cannot:
+        // it stays parked until the actual FlowDone)
+        if let Some(w) = self.msgs[mid].waiter {
+            let w = w as usize;
+            let resume = match mode {
+                SendMode::Eager => Some(now + self.injection_latency(link)),
+                SendMode::Rendezvous if !flow_mode => Some(t1),
+                SendMode::Rendezvous => None,
+            };
+            if let Some(resume) = resume {
+                let since = self.msgs[mid].waiter_since;
+                if let Blocked::OnMsg { state, .. } = self.ranks[w].blocked {
+                    self.push_state(w, since, resume, state);
+                    if P::ENABLED && resume > since {
+                        let edge = if mode == SendMode::Eager {
+                            WaitEdge::Injection
+                        } else {
+                            WaitEdge::Arrival
+                        };
+                        self.probe.on_wait_edge(w, since, resume, mid, edge);
                     }
+                    self.queue.push(resume, Event::Resume { rank: w });
+                    self.ranks[w].blocked = Blocked::ResumeScheduled;
+                    self.msgs[mid].waiter = None;
+                    // the parked sender is scheduled and will never
+                    // look at this message again
+                    self.msgs[mid].send_done = true;
                 }
             }
         }
@@ -1548,23 +1563,11 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             );
         }
         self.flow_scratch = evs;
-        let (src, dst) = (self.msgs[mid].src, self.msgs[mid].dst);
         self.msgs[mid].state = MsgState::Done { t1 };
-        self.resources
-            .release(src, dst)
-            .map_err(SimError::Accounting)?;
-        if P::ENABLED {
-            self.in_flight -= 1;
-            self.probe.on_transfer_done(
-                t1,
-                self.in_flight,
-                self.resources.buses_in_use(),
-                self.resources.ports_in_use(),
-            );
-        }
-        self.try_start_all(t1)?;
+        self.release(mid, t1)?;
         // a rendezvous sender may still be parked on this message
         if let Some(w) = self.msgs[mid].waiter {
+            let w = w as usize;
             let since = self.msgs[mid].waiter_since;
             if let Blocked::OnMsg { state, .. } = self.ranks[w].blocked {
                 let resume = t1.max(since);
@@ -1597,24 +1600,8 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
     }
 
     fn on_transfer_done(&mut self, mid: usize, t1: Time) -> Result<(), SimError> {
-        let (src, dst) = (self.msgs[mid].src, self.msgs[mid].dst);
         self.msgs[mid].state = MsgState::Done { t1 };
-        match self.msgs[mid].link {
-            Link::Intra => Ok(()),
-            Link::Net => self.resources.release(src, dst),
-            Link::Wan => self.resources.release_wan(src, dst),
-        }
-        .map_err(SimError::Accounting)?;
-        if P::ENABLED && self.msgs[mid].link != Link::Intra {
-            self.in_flight -= 1;
-            self.probe.on_transfer_done(
-                t1,
-                self.in_flight,
-                self.resources.buses_in_use(),
-                self.resources.ports_in_use(),
-            );
-        }
-        self.try_start_all(t1)?;
+        self.release(mid, t1)?;
         if let Some(req) = self.msgs[mid].paired {
             if self.recv_reqs[req].complete.is_none() {
                 self.complete_recv_req(req, t1);
@@ -1712,7 +1699,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 Flow::Yield
             }
             None => {
-                self.msgs[mid].waiter = Some(rank);
+                self.msgs[mid].waiter = Some(rank as u32);
                 self.msgs[mid].waiter_since = clock;
                 self.ranks[rank].blocked = Blocked::OnMsg {
                     since: clock,

@@ -56,17 +56,10 @@ impl Resources {
         }
     }
 
-    /// Whether an inter-machine `src -> dst` transfer could start now
-    /// (ports + a WAN link; machine-local buses are not involved).
-    pub fn wan_available(&self, src: usize, dst: usize) -> bool {
-        let wan_ok = self.wan_cap == 0 || self.wan_used < self.wan_cap;
-        wan_ok && self.out_used[src] < self.out_cap && self.in_used[dst] < self.in_cap
-    }
-
     /// Acquire (sender out port, receiver in port, one WAN link).
     pub fn try_acquire_wan(&mut self, src: usize, dst: usize) -> bool {
         // single read per counter: check and increment in one pass
-        // (this sits inside the first-fit scan over pending transfers)
+        // (called once per grant attempt)
         let (out, inp) = (self.out_used[src], self.in_used[dst]);
         if (self.wan_cap != 0 && self.wan_used >= self.wan_cap)
             || out >= self.out_cap
@@ -92,17 +85,11 @@ impl Resources {
         Ok(())
     }
 
-    /// Whether a `src -> dst` transfer could start right now.
-    pub fn available(&self, src: usize, dst: usize) -> bool {
-        let bus_ok = self.bus_cap == 0 || self.bus_used < self.bus_cap;
-        bus_ok && self.out_used[src] < self.out_cap && self.in_used[dst] < self.in_cap
-    }
-
     /// Atomically acquire (sender out port, receiver in port, one bus).
     /// Returns `false` (and acquires nothing) if any is exhausted.
     pub fn try_acquire(&mut self, src: usize, dst: usize) -> bool {
         // single read per counter: check and increment in one pass
-        // (this sits inside the first-fit scan over pending transfers)
+        // (called once per grant attempt)
         let (out, inp) = (self.out_used[src], self.in_used[dst]);
         if (self.bus_cap != 0 && self.bus_used >= self.bus_cap)
             || out >= self.out_cap
@@ -140,6 +127,36 @@ impl Resources {
         self.in_used[dst] -= 1;
         self.ports_busy -= 2;
         Ok(())
+    }
+
+    /// Whether the bus count is bounded (`buses != 0`).
+    pub fn bus_capped(&self) -> bool {
+        self.bus_cap != 0
+    }
+
+    /// Whether every bus is in use (never, when unbounded).
+    pub fn bus_full(&self) -> bool {
+        self.bus_cap != 0 && self.bus_used >= self.bus_cap
+    }
+
+    /// Whether the WAN link count is bounded (`wan_links != 0`).
+    pub fn wan_capped(&self) -> bool {
+        self.wan_cap != 0
+    }
+
+    /// Whether every WAN link is in use (never, when unbounded).
+    pub fn wan_full(&self) -> bool {
+        self.wan_cap != 0 && self.wan_used >= self.wan_cap
+    }
+
+    /// Whether every output port of `src` is in use.
+    pub fn out_full(&self, src: usize) -> bool {
+        self.out_used[src] >= self.out_cap
+    }
+
+    /// Whether every input port of `dst` is in use.
+    pub fn in_full(&self, dst: usize) -> bool {
+        self.in_used[dst] >= self.in_cap
     }
 
     /// Buses currently in use (for occupancy statistics).
@@ -202,6 +219,22 @@ mod tests {
         assert!(r.try_acquire(1, 0));
         r.release(1, 0).unwrap();
         assert_eq!(r.buses_in_use(), 0);
+    }
+
+    #[test]
+    fn saturation_predicates_track_acquires() {
+        let unbounded = Resources::new(2, 0, 1, 1);
+        assert!(!unbounded.bus_capped() && !unbounded.bus_full());
+        assert!(!unbounded.wan_capped() && !unbounded.wan_full());
+        let mut r = Resources::with_wan(3, 1, 1, 1, 1);
+        assert!(r.bus_capped() && r.wan_capped());
+        assert!(r.try_acquire(0, 1));
+        assert!(r.bus_full() && r.out_full(0) && r.in_full(1));
+        assert!(!r.wan_full() && !r.out_full(1) && !r.in_full(0));
+        assert!(r.try_acquire_wan(1, 2));
+        assert!(r.wan_full() && r.out_full(1) && r.in_full(2));
+        r.release(0, 1).unwrap();
+        assert!(!r.bus_full() && !r.out_full(0) && !r.in_full(1));
     }
 
     #[test]

@@ -2,10 +2,13 @@
 """Validate an `ovlp.bench_scale.v1` document (stdlib only, no deps).
 
 Checks the weak-scaling trajectory contract emitted by `scale_bench`:
-key presence and types, strictly increasing rank counts, and — the
-point of the streaming work — that the records resident high-water
-mark stays a small fraction of the records streamed at every point
-(sublinear memory: a materialized replay would have the two equal).
+key presence and types, strictly increasing rank counts, that the
+records resident high-water mark stays a small fraction of the records
+streamed at every point (sublinear memory: a materialized replay would
+have the two equal), and that the grant path made at most
+GRANT_STEPS_PER_TRANSFER resource-acquire attempts per transfer (the
+wait lists keep it near 1; the first-fit scan they replaced needed ~29
+per transfer at 1k ranks and grew with the rank count).
 
 Usage: check_scale_bench.py <BENCH_scale.json> [--min-ranks N]
 
@@ -23,6 +26,7 @@ POINT_KEYS = {
     "records_peak": int,
     "events": int,
     "transfers": int,
+    "grant_steps": int,
     "queue_peak": int,
     "msg_slots": int,
     "req_slots": int,
@@ -37,6 +41,11 @@ POINT_KEYS = {
 # margin over "strictly less" so tiny ladders don't flap, while still
 # rejecting anything close to full materialization.
 RESIDENT_FRACTION_CAP = 0.5
+
+# Resource-acquire attempts per transfer. Every transfer is tried once
+# when it is initiated; a waiting one is retried only when a resource
+# it needs is released.
+GRANT_STEPS_PER_TRANSFER = 2
 
 
 def fail(path, msg):
@@ -81,6 +90,12 @@ def check(path, min_ranks):
             path,
             f"point {i} ({p['ranks']} ranks): {p['records_peak']} records resident "
             f"of {p['records_total']} streamed — memory is not sublinear",
+        )
+        expect(
+            p["grant_steps"] <= GRANT_STEPS_PER_TRANSFER * p["transfers"],
+            path,
+            f"point {i} ({p['ranks']} ranks): {p['grant_steps']} grant steps for "
+            f"{p['transfers']} transfers — the grant path is no longer linear",
         )
 
     top = points[-1]["ranks"]

@@ -116,6 +116,35 @@ const COMMANDS: &[Cmd] = &[
     },
 ];
 
+/// `print!` to stdout, treating a closed reader (`ovlp ... | head`) as
+/// a quiet, successful end of output instead of a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` with [`out!`]'s broken-pipe handling.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write to stdout. A reader that went away ends the process with exit
+/// code 0: everything it asked for was delivered. Any other write
+/// failure is a runtime failure (exit 1).
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn usage() -> String {
     let mut s = String::from("usage: ovlp <command> [args]\n\ncommands:\n");
     for c in COMMANDS {
@@ -153,7 +182,7 @@ fn main() -> ExitCode {
                 } else {
                     "traced"
                 };
-                println!("{:<12} (default {} ranks, {kind})", e.name, e.ranks);
+                outln!("{:<12} (default {} ranks, {kind})", e.name, e.ranks);
             }
             ExitCode::SUCCESS
         }
@@ -172,7 +201,7 @@ fn main() -> ExitCode {
         ["sweep", app, ranks, rest @ ..] => sweep_cmd(app, ranks, rest),
         ["serve", rest @ ..] => serve_cmd(rest),
         ["help"] | ["--help"] | ["-h"] => {
-            print!("{}", usage());
+            out!("{}", usage());
             ExitCode::SUCCESS
         }
         _ => {
@@ -276,11 +305,11 @@ fn analyze(app: &str, ranks: &str) -> ExitCode {
     };
     let p = production_stats(&run.access);
     let c = consumption_stats(&run.access);
-    println!("{}", table2a(&[(app.to_string(), p)]));
-    println!("{}", table2b(&[(app.to_string(), c)]));
+    outln!("{}", table2a(&[(app.to_string(), p)]));
+    outln!("{}", table2b(&[(app.to_string(), c)]));
     match run_variants(&bundle, &platform) {
         Ok(r) => {
-            println!(
+            outln!(
                 "runtime: original {:.4}s  overlapped {:.4}s (x{:.3})  ideal {:.4}s (x{:.3})",
                 r.original.runtime(),
                 r.overlapped.runtime(),
@@ -288,13 +317,13 @@ fn analyze(app: &str, ranks: &str) -> ExitCode {
                 r.ideal.runtime(),
                 r.speedup_ideal()
             );
-            println!(
+            outln!(
                 "wait/rank: original {:.1}us  overlapped {:.1}us",
                 r.original.total_wait() * 1e6 / r.original.totals.len() as f64,
                 r.overlapped.total_wait() * 1e6 / r.overlapped.totals.len() as f64,
             );
             let demand = overlap_sim::core::double_buffer_demand(&r.overlapped);
-            println!(
+            outln!(
                 "double-buffering demand: {} of {} candidate transfers ({})",
                 demand.early_arrivals,
                 demand.candidates,
@@ -303,14 +332,14 @@ fn analyze(app: &str, ranks: &str) -> ExitCode {
             // the paper's §VII future work, quantified: how much more
             // postponement would phase-level reordering expose?
             match overlap_sim::core::patterns::mean_independent_tail(&run.access) {
-                Some(tail) => println!(
+                Some(tail) => outln!(
                     "phase-reorder potential (mean independent tail): {}",
                     pct(Some(100.0 * tail))
                 ),
-                None => println!("phase-reorder potential: n/a (scatter capture off)"),
+                None => outln!("phase-reorder potential: n/a (scatter capture off)"),
             }
-            println!("\nheaviest channels (original execution):");
-            print!(
+            outln!("\nheaviest channels (original execution):");
+            out!(
                 "{}",
                 overlap_sim::machine::chanstat::render_top(&r.original, 8)
             );
@@ -342,7 +371,7 @@ fn trace_cmd(app: &str, ranks: &str, outdir: &str) -> ExitCode {
         if let Err(e) = fs::write(&path, body) {
             return fail(e.to_string());
         }
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
 }
@@ -365,7 +394,7 @@ fn transform_cmd(trf: &str, acc: &str) -> ExitCode {
         Err(e) => return fail(format!("{acc}: {e}")),
     };
     let out = overlap_sim::core::transform(&trace, &access, &ChunkPolicy::paper_default());
-    print!("{}", text::emit(&out));
+    out!("{}", text::emit(&out));
     ExitCode::SUCCESS
 }
 
@@ -377,15 +406,15 @@ fn stats_cmd(path: &str) -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(format!("{path}: {e}")),
     };
-    println!("{}", overlap_sim::trace::TraceStats::of(&trace));
+    outln!("{}", overlap_sim::trace::TraceStats::of(&trace));
     let errs = overlap_sim::trace::validate(&trace);
     if errs.is_empty() {
-        println!("validation:       ok");
+        outln!("validation:       ok");
         ExitCode::SUCCESS
     } else {
-        println!("validation:       {} problems", errs.len());
+        outln!("validation:       {} problems", errs.len());
         for e in errs.iter().take(10) {
-            println!("  - {e}");
+            outln!("  - {e}");
         }
         ExitCode::FAILURE
     }
@@ -398,10 +427,10 @@ fn waits_cmd(app: &str, ranks: &str) -> ExitCode {
     };
     match run_variants(&bundle, &platform) {
         Ok(r) => {
-            println!("== non-overlapped ==");
-            println!("{}", overlap_sim::viz::wait_report(&r.original, 48));
-            println!("== overlapped ==");
-            println!("{}", overlap_sim::viz::wait_report(&r.overlapped, 48));
+            outln!("== non-overlapped ==");
+            outln!("{}", overlap_sim::viz::wait_report(&r.original, 48));
+            outln!("== overlapped ==");
+            outln!("{}", overlap_sim::viz::wait_report(&r.overlapped, 48));
             ExitCode::SUCCESS
         }
         Err(e) => fail(e.to_string()),
@@ -428,19 +457,22 @@ fn chunks_cmd(app: &str, ranks: &str) -> ExitCode {
     let platform = marenostrum_for(entry.name);
     match chunk_search(&run, &platform, &default_candidates()) {
         Ok(s) => {
-            println!("original runtime: {:.4}s", s.original_runtime);
+            outln!("original runtime: {:.4}s", s.original_runtime);
             for p in &s.points {
                 let marker = if p.chunks == s.best.chunks {
                     "  <= best"
                 } else {
                     ""
                 };
-                println!(
+                outln!(
                     "{:>3} chunks: {:.4}s (x{:.3}){}",
-                    p.chunks, p.runtime, p.speedup_vs_original, marker
+                    p.chunks,
+                    p.runtime,
+                    p.speedup_vs_original,
+                    marker
                 );
             }
-            println!(
+            outln!(
                 "recommendation: {} chunks (the paper fixes 4)",
                 s.best.chunks
             );
@@ -617,7 +649,7 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
             }
         }
     };
-    println!(
+    outln!(
         "runtime {:.6}s  ({} ranks, {} events, efficiency {:.1}%)",
         r.runtime(),
         r.timelines.len(),
@@ -625,7 +657,7 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         100.0 * r.efficiency()
     );
     for (i, t) in r.totals.iter().enumerate() {
-        println!(
+        outln!(
             "  r{i}: compute {:.3}ms  wait-recv {:.3}ms  wait-send {:.3}ms  collective {:.3}ms",
             t.compute.as_secs() * 1e3,
             t.wait_recv.as_secs() * 1e3,
@@ -635,24 +667,26 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
     }
     let links = overlap_sim::viz::link_report(&r, 12);
     if !links.is_empty() {
-        println!("network: {} fair-share recomputations", r.network.reshares);
-        print!("{links}");
+        outln!("network: {} fair-share recomputations", r.network.reshares);
+        out!("{links}");
     }
     if !r.fault_log.is_empty() {
-        println!(
+        outln!(
             "faults: {} applied, {} flows rerouted, {} reroute reshares",
-            r.network.faults_applied, r.network.flows_rerouted, r.network.reroute_reshares
+            r.network.faults_applied,
+            r.network.flows_rerouted,
+            r.network.reroute_reshares
         );
         for f in &r.fault_log {
-            println!("  {:.6}s  {}", f.at.as_secs(), f.desc);
+            outln!("  {:.6}s  {}", f.at.as_secs(), f.desc);
         }
     }
     if let Some(cp) = &critpath {
-        print!("{}", overlap_sim::viz::critpath_report(cp));
+        out!("{}", overlap_sim::viz::critpath_report(cp));
     }
     if let Some(m) = &metrics {
         let e = &m.engine;
-        println!(
+        outln!(
             "probe: {} windows of {:.1}us; events resume {} / transfer {} / flow {} / fault {}; \
              reshares {}; queue peak {}; records peak {}; in-flight peak {}",
             m.windows,
@@ -668,8 +702,8 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         );
         let heat = link_heatmap_ascii(m, 100, r.runtime, 12);
         if !heat.is_empty() {
-            println!("link utilization over time:");
-            print!("{heat}");
+            outln!("link utilization over time:");
+            out!("{heat}");
         }
         if let Some(out) = &metrics_out {
             // with --critpath the document upgrades to ovlp.metrics.v2:
@@ -681,7 +715,7 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
             if let Err(e) = fs::write(out, doc) {
                 return fail(e.to_string());
             }
-            println!("wrote {out}");
+            outln!("wrote {out}");
         }
     }
     ExitCode::SUCCESS
@@ -721,23 +755,33 @@ fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
     };
     match replay_scale(source.as_ref(), &platform) {
         Ok(rep) => {
-            println!(
+            outln!(
                 "runtime {:.6}s  ({} ranks, {} events, efficiency {:.1}%)",
                 rep.runtime.as_secs(),
                 rep.nranks,
                 rep.events_processed,
                 100.0 * rep.efficiency()
             );
-            println!(
+            outln!(
                 "transfers {}  records streamed {}",
-                rep.transfers, rep.records_streamed
+                rep.transfers,
+                rep.records_streamed
             );
-            println!(
+            outln!(
                 "high-water marks: records resident {}  queue {}  msg slots {}  \
                  req slots {}  chan slots {}",
-                rep.records_peak, rep.queue_peak, rep.msg_slots, rep.req_slots, rep.chan_slots
+                rep.records_peak,
+                rep.queue_peak,
+                rep.msg_slots,
+                rep.req_slots,
+                rep.chan_slots
             );
-            println!(
+            outln!(
+                "grant steps {}  ({:.2} per transfer)",
+                rep.grant_steps,
+                rep.grant_steps as f64 / rep.transfers.max(1) as f64
+            );
+            outln!(
                 "state totals: compute {:.3}s  wait-recv {:.3}s  wait-send {:.3}s  \
                  collective {:.3}s",
                 rep.totals.compute.as_secs(),
@@ -770,7 +814,7 @@ fn gantt_cmd(app: &str, ranks: &str) -> ExitCode {
     };
     match run_variants(&bundle, &platform) {
         Ok(r) => {
-            println!(
+            outln!(
                 "{}",
                 gantt_comparison(
                     "non-overlapped",
@@ -797,7 +841,7 @@ fn advise_cmd(app: &str, ranks: &str) -> ExitCode {
         &platform,
         &ChunkPolicy::paper_default(),
     );
-    print!("{}", advice.render());
+    out!("{}", advice.render());
     ExitCode::SUCCESS
 }
 
@@ -888,7 +932,7 @@ fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
     if let Err(e) = fs::write(out, html) {
         return fail(e.to_string());
     }
-    println!("wrote {out}");
+    outln!("wrote {out}");
     ExitCode::SUCCESS
 }
 
@@ -975,7 +1019,7 @@ fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
     };
 
     let report = sweep(&grid, &config, &cache);
-    print!("{}", report.render_full(&grid));
+    out!("{}", report.render_full(&grid));
     let jobs = config.jobs;
     if config.probe_window_us.is_some() || config.critpath {
         eprintln!(
@@ -1110,15 +1154,15 @@ fn serve_cmd(rest: &[&str]) -> ExitCode {
         Err(e) => return fail(format!("bind {addr}: {e}")),
     };
     match server.local_addr() {
-        Ok(bound) => println!("ovlp serve listening on http://{bound}"),
+        Ok(bound) => outln!("ovlp serve listening on http://{bound}"),
         Err(e) => return fail(e.to_string()),
     }
     match &config.store_dir {
-        Some(dir) => println!("store: {}", dir.display()),
-        None => println!("store: in-memory (gone on exit; pass --store dir to persist)"),
+        Some(dir) => outln!("store: {}", dir.display()),
+        None => outln!("store: in-memory (gone on exit; pass --store dir to persist)"),
     }
     if config.chaos.is_some() {
-        println!("chaos: fault injection armed via OVLP_CHAOS");
+        outln!("chaos: fault injection armed via OVLP_CHAOS");
     }
     // Scripts (and the CI smoke job) wait for the banner to know the
     // listener is ready; make sure it is not stuck in the pipe buffer.
@@ -1250,7 +1294,7 @@ fn paraver_cmd(app: &str, ranks: &str, outdir: &str, rest: &[&str]) -> ExitCode 
             return fail(err.to_string());
         }
     }
-    println!("wrote Paraver + SVG artifacts to {}", dir.display());
+    outln!("wrote Paraver + SVG artifacts to {}", dir.display());
     ExitCode::SUCCESS
 }
 

@@ -3,7 +3,7 @@
 //! for usage and parse errors — with the message on stderr and nothing
 //! on stdout.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn ovlp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ovlp"))
@@ -160,4 +160,30 @@ fn runtime_failures_exit_one() {
     ]);
     assert_eq!(bad_store.status.code(), Some(1), "{bad_store:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_stdout_ends_output_quietly() {
+    // `ovlp ... | head`: the reader leaves before the output ends. The
+    // binary must stop quietly, never panic with exit code 101.
+    for args in [
+        &["scale", "ml-allreduce", "2000"][..],
+        &["simulate", "nas-cg"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ovlp"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // close the read end before the first line is written
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            matches!(out.status.code(), Some(0 | 1)),
+            "{args:?}: {out:?}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

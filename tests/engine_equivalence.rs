@@ -6,8 +6,9 @@
 //! pure performance work: `simulate` must produce exactly the same
 //! replay — every timestamp, timeline, transfer, link statistic, and
 //! engine counter — as `simulate_reference`, which forces the original
-//! from-scratch solver. Any divergence here is a correctness bug in
-//! the incremental path, never an acceptable tolerance.
+//! from-scratch solver (and the naive first-fit grant scan). Any
+//! divergence here is a correctness bug in the incremental path, never
+//! an acceptable tolerance.
 
 use overlap_sim::machine::replay::simulate_reference;
 use overlap_sim::machine::{simulate, Platform, SimResult, Topology};
@@ -80,8 +81,10 @@ fn incremental_engine_matches_reference_solver_on_fixtures() {
 
 #[test]
 fn bus_model_replays_are_unaffected_by_solver_choice() {
-    // under the bus model there is no flow solver at all; the reference
-    // entry must be a strict no-op relative to `simulate`
+    // under the bus model there is no flow solver at all, but the
+    // reference entry still differs: it grants through the naive
+    // first-fit scan instead of the wait lists, and must agree with
+    // `simulate` bit for bit
     for name in ["sweep3d_4r.trf", "nas_cg_8r.trf"] {
         let trace = fixture(name);
         let platform = Platform::default();
