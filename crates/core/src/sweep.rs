@@ -39,8 +39,9 @@ use ovlp_machine::{Platform, Time};
 use ovlp_trace::record::SendMode;
 use ovlp_trace::text;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -686,6 +687,10 @@ pub struct SweepReport {
     pub cache_hits: u64,
     /// Cache misses (points actually simulated) during this sweep.
     pub cache_misses: u64,
+    /// Variant bundles transformed during this sweep: at most one per
+    /// `(app, policy)` combination, none when every point hit the
+    /// cache. Self-observability only; never rendered.
+    pub bundles_built: u64,
     /// Wall-clock duration of the grid evaluation.
     pub elapsed: Duration,
 }
@@ -920,17 +925,16 @@ fn fmt_buses(buses: u32) -> String {
     }
 }
 
-/// Evaluate every grid point.
+/// Evaluate every grid point on the [`scheduler`] pool, honouring
+/// `cache` (hit ⇒ no simulation).
 ///
-/// Runs in two pooled stages, both on the [`scheduler`]:
+/// The [`VariantBundle`] of each `(app, policy)` combination is built
+/// once, the first time one of its points misses the cache (platform
+/// sweeps share it); a sweep whose points all hit never transforms.
 ///
-/// 1. **Transform** — build the [`VariantBundle`] for each
-///    `(app, policy)` combination once (platform sweeps share it);
-/// 2. **Replay** — simulate the three variants of each point, honouring
-///    `cache` (hit ⇒ no simulation).
-///
-/// Failures (platform validation, simulation errors, worker panics) are
-/// per-point [`PointError`]s; the report always covers the whole grid.
+/// Failures (platform validation, transform or simulation errors,
+/// worker panics) are per-point [`PointError`]s; the report always
+/// covers the whole grid.
 pub fn sweep(grid: &SweepGrid, config: &SweepConfig, cache: &SweepCache) -> SweepReport {
     sweep_observed(grid, config, cache, &|_, _| {})
 }
@@ -949,19 +953,30 @@ pub fn sweep_observed(
     let started = std::time::Instant::now();
     let (hits0, misses0) = cache.stats();
 
-    // Stage 1: one variant bundle per (app, policy) combination.
-    let combos: Vec<(usize, usize)> = (0..grid.apps.len())
-        .flat_map(|a| (0..grid.policies.len()).map(move |p| (a, p)))
+    // One lazily built variant bundle per (app, policy) combination.
+    // Concurrent first misses of one combination wait for a single
+    // build; a panicking build is that combination's transform error.
+    let bundles: Vec<OnceLock<Result<Arc<VariantBundle>, String>>> = (0..grid.apps.len()
+        * grid.policies.len())
+        .map(|_| OnceLock::new())
         .collect();
-    let bundles: Vec<Result<Arc<VariantBundle>, String>> =
-        scheduler::run_indexed(combos, config.jobs, config.queue_depth, |_i, (a, p)| {
-            Arc::new(build_variants(&grid.apps[a].run, &grid.policies[p]))
-        });
+    let built = AtomicU64::new(0);
     let bundle_for = |point: &SweepPoint| -> &Result<Arc<VariantBundle>, String> {
-        &bundles[point.app * grid.policies.len() + point.policy]
+        let combo = point.app * grid.policies.len() + point.policy;
+        bundles[combo].get_or_init(|| {
+            built.fetch_add(1, Ordering::Relaxed);
+            let (run, policy) = (&grid.apps[point.app].run, &grid.policies[point.policy]);
+            catch_unwind(AssertUnwindSafe(|| Arc::new(build_variants(run, policy)))).map_err(
+                |payload| {
+                    format!(
+                        "worker panicked on item {combo}: {}",
+                        panic_message(payload)
+                    )
+                },
+            )
+        })
     };
 
-    // Stage 2: replay each point (or hit the cache).
     let points = grid.points();
     let outcomes: Vec<PointOutcome> = scheduler::run_indexed(
         points.clone(),
@@ -979,7 +994,7 @@ pub fn sweep_observed(
                     message: "job cancelled before this point ran".to_string(),
                 })
             } else {
-                evaluate_point(grid, &point, i, bundle_for(&point), cache, config)
+                evaluate_point(grid, &point, i, || bundle_for(&point), cache, config)
             };
             observe(i, &outcome);
             outcome
@@ -1011,15 +1026,16 @@ pub fn sweep_observed(
         outcomes,
         cache_hits: hits1 - hits0,
         cache_misses: misses1 - misses0,
+        bundles_built: built.into_inner(),
         elapsed: started.elapsed(),
     }
 }
 
-fn evaluate_point(
+fn evaluate_point<'b>(
     grid: &SweepGrid,
     point: &SweepPoint,
     index: usize,
-    bundle: &Result<Arc<VariantBundle>, String>,
+    bundle: impl FnOnce() -> &'b Result<Arc<VariantBundle>, String>,
     cache: &SweepCache,
     config: &SweepConfig,
 ) -> PointOutcome {
@@ -1065,7 +1081,7 @@ fn evaluate_point(
     platform
         .check()
         .map_err(|e| fail(FailKind::Platform, format!("invalid platform: {e}")))?;
-    let bundle = bundle
+    let bundle = bundle()
         .as_ref()
         .map_err(|e| fail(FailKind::Transform, format!("transform failed: {e}")))?;
 
@@ -1204,7 +1220,6 @@ fn run_attempt(
     action: Option<chaos::ChaosAction>,
     deadline: Option<Duration>,
 ) -> Result<SimNumbers, (FailKind, String)> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     let work = {
         let bundle = Arc::clone(bundle);
         let platform = platform.clone();
@@ -1426,6 +1441,38 @@ mod tests {
         assert_eq!(second.cache_misses, 0);
         assert_eq!(second.result_hashes(), first.result_hashes());
         assert_eq!(second.render(&grid), first.render(&grid));
+    }
+
+    #[test]
+    fn variant_bundles_are_built_only_for_cache_misses() {
+        let grid = tiny_grid();
+        let combos = (grid.apps.len() * grid.policies.len()) as u64;
+        let cache = SweepCache::new();
+        let cold = sweep(&grid, &SweepConfig::with_jobs(2), &cache);
+        assert_eq!(cold.bundles_built, combos, "one bundle per (app, policy)");
+        let warm = sweep(&grid, &SweepConfig::with_jobs(2), &cache);
+        assert_eq!(warm.cache_hits, grid.len() as u64);
+        assert_eq!(warm.bundles_built, 0, "a sweep of hits never transforms");
+        assert_eq!(warm.render(&grid), cold.render(&grid));
+
+        // One new platform: its points miss, so every policy's bundle
+        // is built again, once.
+        let mut wider = tiny_grid();
+        wider.platforms.push(Platform::marenostrum(4));
+        let partial = sweep(&wider, &SweepConfig::with_jobs(2), &cache);
+        assert_eq!(partial.cache_misses, grid.policies.len() as u64);
+        assert_eq!(partial.bundles_built, combos);
+
+        // Observing sweeps bypass the cache, so they still build every
+        // bundle they replay, on a warm cache too.
+        let mut probed = SweepConfig::with_jobs(2);
+        probed.probe_window_us = Some(50.0);
+        assert_eq!(sweep(&grid, &probed, &cache).bundles_built, combos);
+        let mut critpath = SweepConfig::with_jobs(2);
+        critpath.critpath = true;
+        let r = sweep(&grid, &critpath, &cache);
+        assert_eq!(r.bundles_built, combos);
+        assert_eq!(r.result_hashes(), cold.result_hashes());
     }
 
     #[test]

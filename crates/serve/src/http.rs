@@ -115,6 +115,7 @@ pub fn status_text(code: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        410 => "Gone",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
         503 => "Service Unavailable",

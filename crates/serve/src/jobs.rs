@@ -12,15 +12,24 @@
 //! Cross-job dedup happens one layer down, in the shared
 //! [`SweepCache`]: completed points are served from the store forever,
 //! and identical points of *concurrently running* jobs coalesce onto a
-//! single in-flight computation.
+//! single in-flight computation. The traced runs the grids replay come
+//! from the registry's [`TraceCache`], so an app is traced once per
+//! rank count, not once per job.
+//!
+//! The registry keeps every unfinished job and the newest
+//! [`RETAINED_JOBS`] finished ones. Older finished jobs are *retired*:
+//! forgotten (their ids answer `410 Gone`) and their sealed journals
+//! deleted, oldest first, so the newest journal always survives to
+//! carry the id high-water mark across a restart.
 
 use crate::journal::{JobEnd, Journal};
 use crate::json::{Obj, Value};
 use crate::spec::{SpecError, SweepSpec};
+use crate::traces::TraceCache;
 use ovlp_core::sweep::guard::PointGuard;
 use ovlp_core::sweep::{sweep_observed, PointOutcome, SweepCache, SweepGrid};
 use ovlp_machine::Blame;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -35,6 +44,10 @@ pub const POINT_SCHEMA: &str = "ovlp.sweep-point.v1";
 pub const DONE_SCHEMA: &str = "ovlp.sweep-done.v1";
 /// Wire schema of the job summary document.
 pub const SUMMARY_SCHEMA: &str = "ovlp.sweep-summary.v1";
+
+/// Finished jobs the registry keeps for lookup; older finished jobs
+/// are retired.
+pub const RETAINED_JOBS: usize = 1024;
 
 /// Counting gate bounding concurrent sweep executions.
 #[derive(Debug)]
@@ -281,13 +294,67 @@ pub struct DaemonMetrics {
     pub journal_points_replayed: AtomicU64,
     pub client_disconnects: AtomicU64,
     pub jobs_rejected_draining: AtomicU64,
+    /// Variant bundles transformed by job sweeps (none for a job whose
+    /// points all hit the cache).
+    pub bundles_built: AtomicU64,
+    pub jobs_retired: AtomicU64,
+}
+
+/// Retained jobs. Finished jobs beyond the newest `keep` are retired.
+#[derive(Debug)]
+struct Table {
+    jobs: HashMap<String, Arc<Job>>,
+    /// Retained ids by registration sequence.
+    order: BTreeMap<u64, String>,
+    /// Registration sequences of the retained finished jobs.
+    finished: BTreeSet<u64>,
+    next_seq: u64,
+    keep: usize,
+}
+
+impl Table {
+    /// Retain `job`; returns its registration sequence.
+    fn insert(&mut self, job: Arc<Job>) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.order.insert(seq, job.id.clone());
+        self.jobs.insert(job.id.clone(), job);
+        seq
+    }
+
+    /// Mark job `seq` finished and retire the oldest finished jobs
+    /// beyond `keep`; returns the retired ids.
+    fn finish(&mut self, seq: u64) -> Vec<String> {
+        self.finished.insert(seq);
+        let mut retired = Vec::new();
+        while self.finished.len() > self.keep {
+            let Some(oldest) = self.finished.pop_first() else {
+                break;
+            };
+            if let Some(id) = self.order.remove(&oldest) {
+                self.jobs.remove(&id);
+                retired.push(id);
+            }
+        }
+        retired
+    }
+}
+
+/// What a job id names, for the lookup routes.
+pub(crate) enum Lookup {
+    Live(Arc<Job>),
+    /// Issued by this daemon (or a previous one on the same journal)
+    /// but no longer retained: `410 Gone`.
+    Retired,
+    /// Never issued: `404 Not Found`.
+    Unknown,
 }
 
 /// The daemon's job table: submission, lookup, bounded execution.
 pub struct Registry {
     cache: Arc<SweepCache>,
-    jobs: Mutex<HashMap<String, Arc<Job>>>,
-    order: Mutex<Vec<String>>,
+    traces: TraceCache,
+    table: Arc<Mutex<Table>>,
     next_id: AtomicU64,
     gate: Arc<Gate>,
     metrics: Arc<DaemonMetrics>,
@@ -302,8 +369,14 @@ impl Registry {
     pub fn new(cache: Arc<SweepCache>, max_running: usize) -> Registry {
         Registry {
             cache,
-            jobs: Mutex::new(HashMap::new()),
-            order: Mutex::new(Vec::new()),
+            traces: TraceCache::new(),
+            table: Arc::new(Mutex::new(Table {
+                jobs: HashMap::new(),
+                order: BTreeMap::new(),
+                finished: BTreeSet::new(),
+                next_seq: 0,
+                keep: RETAINED_JOBS,
+            })),
             next_id: AtomicU64::new(1),
             gate: Arc::new(Gate::new(max_running)),
             metrics: Arc::new(DaemonMetrics::default()),
@@ -327,8 +400,19 @@ impl Registry {
         self
     }
 
+    /// Keep `keep` finished jobs instead of [`RETAINED_JOBS`].
+    #[cfg(test)]
+    fn with_retention(self, keep: usize) -> Registry {
+        lock_ok(&self.table).keep = keep;
+        self
+    }
+
     pub fn cache(&self) -> &Arc<SweepCache> {
         &self.cache
+    }
+
+    pub fn traces(&self) -> &TraceCache {
+        &self.traces
     }
 
     pub fn metrics(&self) -> &Arc<DaemonMetrics> {
@@ -354,19 +438,40 @@ impl Registry {
 
     /// Jobs that have not finished their grid yet.
     pub fn unfinished(&self) -> usize {
-        lock_ok(&self.jobs)
+        lock_ok(&self.table)
+            .jobs
             .values()
             .filter(|j| !j.is_done())
             .count()
     }
 
     pub fn get(&self, id: &str) -> Option<Arc<Job>> {
-        lock_ok(&self.jobs).get(id).cloned()
+        lock_ok(&self.table).jobs.get(id).cloned()
     }
 
-    /// Job ids in submission order (for the index endpoint).
+    /// Resolve `id`: a retained job, an issued id that is no longer
+    /// retained, or an id never issued. Issued ids are `j1` up to the
+    /// last one handed out, in canonical decimal.
+    pub(crate) fn lookup(&self, id: &str) -> Lookup {
+        if let Some(job) = self.get(id) {
+            return Lookup::Live(job);
+        }
+        let issued = id
+            .strip_prefix('j')
+            .and_then(|n| n.parse::<u64>().ok())
+            .is_some_and(|n| {
+                n >= 1 && format!("j{n}") == id && n < self.next_id.load(Ordering::Relaxed)
+            });
+        if issued {
+            Lookup::Retired
+        } else {
+            Lookup::Unknown
+        }
+    }
+
+    /// Retained job ids in submission order (for the index endpoint).
     pub fn ids(&self) -> Vec<String> {
-        lock_ok(&self.order).clone()
+        lock_ok(&self.table).order.values().cloned().collect()
     }
 
     /// Validate, register, and start (or queue) a job. Returns the job
@@ -379,8 +484,10 @@ impl Registry {
     /// replay from the store (byte-identical by the determinism
     /// contract), so a resumed job only computes what the crashed run
     /// missed. Ended jobs are left at rest: their results remain
-    /// store-served, but the job objects are not re-materialized.
-    /// Returns `(jobs resumed, journaled points replayed)`.
+    /// store-served, but the job objects are not re-materialized, and
+    /// their sealed journals are deleted except the newest one, which
+    /// keeps the id high-water mark. Returns
+    /// `(jobs resumed, journaled points replayed)`.
     pub fn recover(&self) -> (u64, u64) {
         let Some(journal) = &self.journal else {
             return (0, 0);
@@ -393,9 +500,13 @@ impl Registry {
             .max()
             .unwrap_or(0);
         self.next_id.fetch_max(max_id + 1, Ordering::Relaxed);
+        let newest = format!("j{max_id}");
         let (mut resumed, mut replayed) = (0u64, 0u64);
         for job in journaled {
             if job.end.is_some() {
+                if job.id != newest {
+                    let _ = journal.remove(&job.id);
+                }
                 continue;
             }
             replayed += job.done.len() as u64;
@@ -415,7 +526,7 @@ impl Registry {
     fn register(&self, spec: SweepSpec, resume_id: Option<String>) -> Result<Arc<Job>, SpecError> {
         // Build eagerly so malformed jobs are rejected at submission
         // (HTTP 400) instead of surfacing asynchronously.
-        let (grid, mut config) = spec.build()?;
+        let (grid, mut config) = spec.build_cached(&self.traces)?;
         let cancel = Arc::new(AtomicBool::new(false));
         config.guard = Some(Arc::clone(&self.guard));
         config.cancel = Some(Arc::clone(&cancel));
@@ -438,16 +549,27 @@ impl Registry {
             // recovery, never the job itself.
             let _ = journal.record_submit(&id, &job.spec, job.points);
         }
-        lock_ok(&self.jobs).insert(id.clone(), Arc::clone(&job));
-        lock_ok(&self.order).push(id);
+        let seq = lock_ok(&self.table).insert(Arc::clone(&job));
         self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
 
         let cache = Arc::clone(&self.cache);
         let gate = Arc::clone(&self.gate);
         let metrics = Arc::clone(&self.metrics);
         let journal = self.journal.clone();
+        let table = Arc::clone(&self.table);
         let runner = Arc::clone(&job);
-        std::thread::spawn(move || run_job(runner, grid, config, cache, gate, metrics, journal));
+        std::thread::spawn(move || {
+            run_job(
+                runner,
+                grid,
+                config,
+                cache,
+                gate,
+                Arc::clone(&metrics),
+                journal.clone(),
+            );
+            retire(&table, seq, journal.as_deref(), &metrics);
+        });
         Ok(job)
     }
 }
@@ -478,6 +600,9 @@ fn run_job(
     });
     let (hits1, misses1) = cache.stats();
     let coalesced1 = cache.coalesced();
+    metrics
+        .bundles_built
+        .fetch_add(report.bundles_built, Ordering::Relaxed);
     let rendered = report.render_full(&grid);
     // Seal the journal and counters *before* publishing the report:
     // anyone woken by `done` (summaries, drains, tests) then sees the
@@ -501,6 +626,19 @@ fn run_job(
     metrics.jobs_running.fetch_sub(1, Ordering::Relaxed);
     metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
     gate.release();
+}
+
+/// Mark the job registered as `seq` finished, retire the finished jobs
+/// beyond the retention, and delete their journals (outside the table
+/// lock: that is file I/O).
+fn retire(table: &Mutex<Table>, seq: u64, journal: Option<&Journal>, metrics: &DaemonMetrics) {
+    let retired = lock_ok(table).finish(seq);
+    for id in retired {
+        if let Some(journal) = journal {
+            let _ = journal.remove(&id);
+        }
+        metrics.jobs_retired.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
@@ -560,6 +698,92 @@ mod tests {
                 point_line(i, &second.wait_point(i))
             );
         }
+    }
+
+    fn one_point_spec() -> SweepSpec {
+        let mut spec = SweepSpec::new("nas-cg", 4);
+        spec.chunks = vec![1];
+        spec
+    }
+
+    #[test]
+    fn retention_never_retires_an_unfinished_job() {
+        let mut table = Table {
+            jobs: HashMap::new(),
+            order: BTreeMap::new(),
+            finished: BTreeSet::new(),
+            next_seq: 0,
+            keep: 2,
+        };
+        let seqs: Vec<u64> = (1..=5)
+            .map(|n| {
+                table.insert(Arc::new(Job {
+                    id: format!("j{n}"),
+                    spec: one_point_spec(),
+                    points: 1,
+                    state: Mutex::default(),
+                    progress: Condvar::new(),
+                    cancel: Arc::default(),
+                    readers: AtomicUsize::new(0),
+                }))
+            })
+            .collect();
+        // j1 stays unfinished throughout; the others finish in order.
+        assert!(table.finish(seqs[1]).is_empty());
+        assert!(table.finish(seqs[2]).is_empty());
+        assert_eq!(table.finish(seqs[3]), ["j2"], "oldest finished first");
+        assert_eq!(table.finish(seqs[4]), ["j3"]);
+        let ids: Vec<&String> = table.order.values().collect();
+        assert_eq!(ids, ["j1", "j4", "j5"], "unfinished j1 is kept");
+        assert_eq!(
+            table.finish(seqs[0]),
+            ["j1"],
+            "once finished, it is the oldest"
+        );
+        assert_eq!(table.jobs.len(), 2);
+    }
+
+    #[test]
+    fn retiring_deletes_journals_and_a_restart_issues_fresh_ids() {
+        let dir = std::env::temp_dir().join(format!("ovlp-retention-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journaled = || {
+            Registry::new(Arc::new(SweepCache::new()), 2)
+                .with_journal(Journal::open(&dir).unwrap())
+                .with_retention(2)
+        };
+        let registry = journaled();
+        for _ in 0..4 {
+            registry.submit(one_point_spec()).unwrap().wait_report();
+        }
+        // Retirement follows the report; wait for the second one.
+        while registry.metrics().jobs_retired.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(registry.ids(), ["j3", "j4"]);
+        assert!(matches!(registry.lookup("j1"), Lookup::Retired));
+        assert!(matches!(registry.lookup("j4"), Lookup::Live(_)));
+        for never in ["j5", "j0", "j01", "x1", ""] {
+            assert!(matches!(registry.lookup(never), Lookup::Unknown), "{never}");
+        }
+        let journal = |id: &str| dir.join(format!("{id}.journal")).exists();
+        assert!(
+            !journal("j1") && !journal("j2"),
+            "retiring deletes journals"
+        );
+        assert!(journal("j3") && journal("j4"));
+        drop(registry);
+
+        // The newest journal survives compaction and keeps the id
+        // high-water mark: the next job is j5, and j2 is still gone.
+        let restarted = journaled();
+        assert_eq!(restarted.recover(), (0, 0));
+        assert!(!journal("j3") && journal("j4"));
+        assert!(matches!(restarted.lookup("j2"), Lookup::Retired));
+        let fresh = restarted.submit(one_point_spec()).unwrap();
+        assert_eq!(fresh.id, "j5");
+        fresh.wait_report();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

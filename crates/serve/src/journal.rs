@@ -13,11 +13,14 @@
 //! * `{"end":"complete"}` / `{"end":"cancelled"}` — the job finished.
 //!
 //! On startup [`Journal::scan`] replays every journal: jobs with an
-//! `end` marker are left at rest (their results live in the store);
-//! jobs without one are **resumed** — re-registered under their
-//! original id and re-run. Resuming is cheap and byte-identical: every
-//! point the crashed run completed is served straight from the
-//! content-addressed store, so only the missing points compute.
+//! `end` marker are left at rest (their results live in the store) and
+//! their journals deleted, except the newest, which keeps the id
+//! high-water mark; jobs without one are **resumed** — re-registered
+//! under their original id and re-run. Resuming is cheap and
+//! byte-identical: every point the crashed run completed is served
+//! straight from the content-addressed store, so only the missing
+//! points compute. While the daemon runs, retiring a finished job
+//! ([`crate::jobs::RETAINED_JOBS`]) deletes its sealed journal.
 //!
 //! Torn writes are expected (the daemon may die mid-append): any
 //! unparsable trailing line is skipped, and duplicate point lines —
@@ -147,6 +150,15 @@ impl Journal {
             .open(self.path(id))?;
         file.write_all(line.as_bytes())?;
         file.flush()
+    }
+
+    /// Delete the journal of `id` (a retired job). A missing journal is
+    /// not an error.
+    pub fn remove(&self, id: &str) -> io::Result<()> {
+        match fs::remove_file(self.path(id)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        }
     }
 
     /// Read every journal in the directory, tolerating torn trailing

@@ -29,8 +29,10 @@ pub mod journal;
 pub mod json;
 pub mod server;
 pub mod spec;
+pub mod traces;
 
 pub use jobs::{Job, Registry};
 pub use journal::Journal;
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use spec::{SpecError, SweepSpec};
+pub use traces::TraceCache;

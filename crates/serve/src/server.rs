@@ -13,13 +13,17 @@
 //! | GET    | `/metrics`             | Prometheus text exposition of daemon counters |
 //! | GET    | `/healthz`             | liveness probe                                |
 //!
+//! The per-job routes answer `404` for an id never issued and `410 Gone`
+//! for one the registry no longer retains (see
+//! [`RETAINED_JOBS`](crate::jobs::RETAINED_JOBS)).
+//!
 //! Concurrency limits: at most `max_running` sweeps execute at once
 //! (later jobs queue), and at most `max_connections` HTTP connections
 //! are served at once (excess connections get an immediate 503 rather
 //! than an unbounded thread pile-up).
 
 use crate::http::{read_request, respond, respond_with, BadRequest, ChunkedWriter, Request};
-use crate::jobs::{done_line, point_line, DaemonMetrics, Registry};
+use crate::jobs::{done_line, point_line, DaemonMetrics, Job, Lookup, Registry};
 use crate::journal::Journal;
 use crate::json::{Obj, Value};
 use crate::spec::{SpecError, SweepSpec};
@@ -267,10 +271,13 @@ fn route(stream: &mut TcpStream, registry: &Registry, req: &Request) -> io::Resu
             );
             respond(stream, 200, "application/json", &Value::Obj(o).to_string())
         }
-        ("GET", ["v1", "sweeps", id]) => stream_job(stream, registry, id),
+        ("GET", ["v1", "sweeps", id]) => match find_job(stream, registry, id)? {
+            Some(job) => stream_job(stream, registry, &job),
+            None => Ok(()),
+        },
         ("GET", ["v1", "sweeps", id, "summary"]) => {
-            let Some(job) = registry.get(id) else {
-                return respond(stream, 404, "application/json", &error_body("no such job"));
+            let Some(job) = find_job(stream, registry, id)? else {
+                return Ok(());
             };
             if req.query.as_deref().is_some_and(|q| q.contains("wait")) {
                 job.wait_report();
@@ -278,8 +285,8 @@ fn route(stream: &mut TcpStream, registry: &Registry, req: &Request) -> io::Resu
             respond(stream, 200, "application/json", &job.summary())
         }
         ("GET", ["v1", "sweeps", id, "report"]) => {
-            let Some(job) = registry.get(id) else {
-                return respond(stream, 404, "application/json", &error_body("no such job"));
+            let Some(job) = find_job(stream, registry, id)? else {
+                return Ok(());
             };
             respond(stream, 200, "text/plain", &job.wait_report())
         }
@@ -308,6 +315,17 @@ fn route(stream: &mut TcpStream, registry: &Registry, req: &Request) -> io::Resu
             &error_body("method not allowed"),
         ),
     }
+}
+
+/// The retained job `id`, or `None` after answering `410` (retired) or
+/// `404` (never issued).
+fn find_job(stream: &mut TcpStream, registry: &Registry, id: &str) -> io::Result<Option<Arc<Job>>> {
+    let (code, message) = match registry.lookup(id) {
+        Lookup::Live(job) => return Ok(Some(job)),
+        Lookup::Retired => (410, "job retired; resubmit it to recompute from the store"),
+        Lookup::Unknown => (404, "no such job"),
+    };
+    respond(stream, code, "application/json", &error_body(message)).map(|()| None)
 }
 
 fn submit(stream: &mut TcpStream, registry: &Registry, body: &str) -> io::Result<()> {
@@ -351,10 +369,7 @@ fn health(registry: &Registry) -> String {
 /// error means the client went away: if it was the job's last reader
 /// and the job is still running, its remaining points are cancelled so
 /// the execution slot frees up instead of computing for nobody.
-fn stream_job(stream: &mut TcpStream, registry: &Registry, id: &str) -> io::Result<()> {
-    let Some(job) = registry.get(id) else {
-        return respond(stream, 404, "application/json", &error_body("no such job"));
-    };
+fn stream_job(stream: &mut TcpStream, registry: &Registry, job: &Job) -> io::Result<()> {
     job.reader_attached();
     let outcome = (|| {
         let mut writer = ChunkedWriter::start(stream, 200, "application/x-ndjson")?;
@@ -400,6 +415,7 @@ pub fn prometheus_metrics(registry: &Registry) -> String {
         None => (0, Default::default()),
     };
     let guard_stats = registry.guard().stats();
+    let traces = registry.traces().stats();
     let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
     let samples: &[(&str, &str, &str, u64)] = &[
         (
@@ -575,6 +591,48 @@ pub fn prometheus_metrics(registry: &Registry) -> String {
             "counter",
             "Point evaluations rejected because the key was quarantined.",
             guard_stats.quarantine_rejections,
+        ),
+        (
+            "ovlp_trace_cache_hits_total",
+            "counter",
+            "Job submissions whose traced run came from the trace cache.",
+            traces.hits,
+        ),
+        (
+            "ovlp_trace_cache_misses_total",
+            "counter",
+            "Job submissions that traced their application.",
+            traces.misses,
+        ),
+        (
+            "ovlp_trace_cache_evictions_total",
+            "counter",
+            "Traced runs evicted to keep the trace cache within its byte budget.",
+            traces.evictions,
+        ),
+        (
+            "ovlp_trace_cache_entries",
+            "gauge",
+            "Traced runs resident in the trace cache.",
+            traces.entries,
+        ),
+        (
+            "ovlp_trace_cache_bytes",
+            "gauge",
+            "Estimated heap bytes of the traced runs in the trace cache.",
+            traces.bytes,
+        ),
+        (
+            "ovlp_variant_bundles_built_total",
+            "counter",
+            "Variant bundles transformed by job sweeps (cache misses only).",
+            load(&m.bundles_built),
+        ),
+        (
+            "ovlp_jobs_retired_total",
+            "counter",
+            "Finished jobs retired from the registry (their ids answer 410).",
+            load(&m.jobs_retired),
         ),
     ];
     let mut out = String::new();

@@ -1,7 +1,8 @@
 //! The sweep-job specification — one validated description of "replay
 //! app X under this platform grid", shared by the batch CLI
 //! (`ovlp sweep`) and the daemon (`POST /v1/sweeps`). Both front ends
-//! build their [`SweepGrid`] through [`SweepSpec::build`], so a grid
+//! build their [`SweepGrid`] through [`SweepSpec::build_cached`] (the
+//! CLI via [`SweepSpec::build`], with a throwaway trace cache), so a grid
 //! submitted over HTTP is **the same grid, in the same canonical
 //! order**, as the one the CLI would sweep — which is what makes the
 //! daemon-vs-CLI differential byte-identity test possible.
@@ -10,9 +11,10 @@
 //! `docs/serving.md`); the CLI form is the `ovlp sweep` flag set.
 
 use crate::json::{self, Obj, Value};
+use crate::traces::TraceCache;
 use ovlp_core::chunk::ChunkPolicy;
 use ovlp_core::presets::marenostrum_for;
-use ovlp_core::sweep::{SweepApp, SweepConfig, SweepGrid};
+use ovlp_core::sweep::{SweepConfig, SweepGrid};
 use ovlp_machine::{ContentionModel, FaultSchedule, ReplayEngine};
 use ovlp_trace::Tag;
 
@@ -207,6 +209,13 @@ impl SweepSpec {
     /// expanded as (fault-free baseline, then one platform per fault
     /// scenario); policies follow the chunk list as given.
     pub fn build(&self) -> Result<(SweepGrid, SweepConfig), SpecError> {
+        self.build_cached(&TraceCache::new())
+    }
+
+    /// [`SweepSpec::build`], taking the traced run from `traces` (and
+    /// tracing into it on a miss). Every check runs before the lookup,
+    /// so a malformed spec is rejected the same on a warm cache.
+    pub fn build_cached(&self, traces: &TraceCache) -> Result<(SweepGrid, SweepConfig), SpecError> {
         if self.ranks == 0 {
             return Err(usage("bad rank count: must be at least 1"));
         }
@@ -273,9 +282,11 @@ impl SweepSpec {
         }
 
         entry.validate_ranks(self.ranks).map_err(usage)?;
-        let run = entry.trace_run(self.ranks).map_err(SpecError::Trace)?;
+        let app = traces
+            .get_or_trace(entry.name, self.ranks, || entry.trace_run(self.ranks))
+            .map_err(SpecError::Trace)?;
         let grid = SweepGrid {
-            apps: vec![SweepApp::new(entry.name, run)],
+            apps: vec![app],
             platforms: bandwidths
                 .iter()
                 .flat_map(|&bw| {
@@ -422,6 +433,34 @@ mod tests {
         let mut s = SweepSpec::new("nas-cg", 8);
         s.topologies = vec!["torus:2x2".parse().unwrap()];
         assert!(s.build().unwrap_err().to_string().contains("endpoints"));
+    }
+
+    #[test]
+    fn cached_builds_match_fresh_ones_and_still_validate() {
+        let traces = TraceCache::new();
+        let (cold, _) = SweepSpec::new("nas-cg", 4).build_cached(&traces).unwrap();
+        // an alias is the same canonical key
+        let (warm, _) = SweepSpec::new("CG", 4).build_cached(&traces).unwrap();
+        let (fresh, _) = SweepSpec::new("nas-cg", 4).build().unwrap();
+        assert!(std::sync::Arc::ptr_eq(&warm.apps[0].run, &cold.apps[0].run));
+        for grid in [&warm, &fresh] {
+            assert_eq!(grid.apps[0].name, "nas-cg");
+            assert_eq!(grid.apps[0].fingerprint(), cold.apps[0].fingerprint());
+        }
+        // Checks run before the lookup: a bad rank count or chunk is a
+        // usage error on a warm cache, and traces nothing.
+        for bad in [SweepSpec::new("nas-cg", 1), SweepSpec::new("nas-cg", 0)] {
+            let err = bad.build_cached(&traces).unwrap_err();
+            assert!(matches!(err, SpecError::Usage(_)), "{err:?}");
+        }
+        let mut bad = SweepSpec::new("nas-cg", 4);
+        bad.chunks = vec![0];
+        assert!(matches!(
+            bad.build_cached(&traces),
+            Err(SpecError::Usage(_))
+        ));
+        let stats = traces.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
     }
 
     #[test]

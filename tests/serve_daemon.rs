@@ -132,9 +132,16 @@ fn daemon_report_is_byte_identical_to_the_cli() {
     let store = temp_dir("differential");
     let (addr, handle) = start(Some(store.clone()), 2);
 
+    // Cold (traced, transformed, simulated), then warm (trace cache
+    // and store hits only): both reports must be the CLI's bytes.
     let job = submit(addr);
     let (status, daemon_report) = http(addr, "GET", &format!("/v1/sweeps/{job}/report"), "");
     assert_eq!(status, 200);
+    let warm = submit(addr);
+    let (status, warm_report) = http(addr, "GET", &format!("/v1/sweeps/{warm}/report"), "");
+    assert_eq!(status, 200);
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "ovlp_trace_cache_hits_total"), 1);
 
     let cli = Command::new(env!("CARGO_BIN_EXE_ovlp"))
         .args([
@@ -159,6 +166,10 @@ fn daemon_report_is_byte_identical_to_the_cli() {
     assert_eq!(
         daemon_report, cli_report,
         "daemon report and `ovlp sweep` stdout must match byte for byte"
+    );
+    assert_eq!(
+        warm_report, cli_report,
+        "a warm daemon's report must match `ovlp sweep` stdout byte for byte"
     );
 
     // The NDJSON stream covers the same 64 points in canonical order.
@@ -193,13 +204,26 @@ fn resubmission_is_served_entirely_from_the_store() {
     assert_eq!(json_u64(&summary, "store_hits"), 0);
     let (_, first_stream) = http(addr, "GET", &format!("/v1/sweeps/{first}"), "");
 
-    // Same daemon, same job: zero replays, identical bytes.
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "ovlp_trace_cache_misses_total"), 1);
+    assert_eq!(metric(&metrics, "ovlp_variant_bundles_built_total"), 4);
+
+    // Same daemon, same job: zero replays, identical bytes — and no
+    // tracing or transforming either.
     let second = submit(addr);
     let summary = wait_summary(addr, &second);
     assert_eq!(json_u64(&summary, "store_hits"), JOB_POINTS);
     assert_eq!(json_u64(&summary, "store_misses"), 0);
     let (_, second_stream) = http(addr, "GET", &format!("/v1/sweeps/{second}"), "");
     assert_eq!(first_stream, second_stream);
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "ovlp_trace_cache_hits_total"), 1);
+    assert_eq!(metric(&metrics, "ovlp_trace_cache_misses_total"), 1);
+    assert_eq!(
+        metric(&metrics, "ovlp_variant_bundles_built_total"),
+        4,
+        "the second job built no bundles"
+    );
     handle.shutdown();
 
     // A restarted daemon on the same store directory: the points come
@@ -211,6 +235,11 @@ fn resubmission_is_served_entirely_from_the_store() {
     assert_eq!(json_u64(&summary, "store_misses"), 0);
     let (_, third_stream) = http(addr, "GET", &format!("/v1/sweeps/{third}"), "");
     assert_eq!(first_stream, third_stream);
+    // The new process traced once; every point came from disk, so it
+    // transformed nothing.
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "ovlp_trace_cache_misses_total"), 1);
+    assert_eq!(metric(&metrics, "ovlp_variant_bundles_built_total"), 0);
     let (_, stats) = http(addr, "GET", "/v1/store/stats", "");
     assert!(
         stats.contains("\"schema\":\"ovlp.store-stats.v1\""),
@@ -261,6 +290,13 @@ fn concurrent_identical_submissions_compute_each_point_exactly_once() {
         3 * JOB_POINTS,
         "the other three claims per point hit or coalesced: {stats}"
     );
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(
+        metric(&metrics, "ovlp_trace_cache_misses_total"),
+        1,
+        "racing submissions traced the app once"
+    );
+    assert_eq!(metric(&metrics, "ovlp_trace_cache_hits_total"), 3);
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&store);
@@ -306,6 +342,14 @@ fn metrics_endpoint_exposes_daemon_counters() {
         "{after}"
     );
     assert_eq!(metric(&after, "ovlp_connections_rejected_total"), 0);
+    assert_eq!(metric(&after, "ovlp_trace_cache_misses_total"), 1);
+    assert_eq!(metric(&after, "ovlp_trace_cache_hits_total"), 0);
+    assert_eq!(metric(&after, "ovlp_trace_cache_entries"), 1);
+    assert!(metric(&after, "ovlp_trace_cache_bytes") > 0, "{after}");
+    assert_eq!(metric(&after, "ovlp_trace_cache_evictions_total"), 0);
+    assert!(after.contains("# TYPE ovlp_trace_cache_bytes gauge"));
+    assert_eq!(metric(&after, "ovlp_variant_bundles_built_total"), 4);
+    assert_eq!(metric(&after, "ovlp_jobs_retired_total"), 0);
 
     handle.shutdown();
 }
@@ -442,9 +486,28 @@ fn fresh_daemon_scrapes_robustness_families_as_zeros() {
         "ovlp_points_quarantined_total",
         "ovlp_quarantine_rejections_total",
         "ovlp_store_orphans_removed_total",
+        "ovlp_trace_cache_hits_total",
+        "ovlp_trace_cache_misses_total",
+        "ovlp_trace_cache_evictions_total",
+        "ovlp_trace_cache_entries",
+        "ovlp_trace_cache_bytes",
+        "ovlp_variant_bundles_built_total",
+        "ovlp_jobs_retired_total",
     ] {
         assert_eq!(metric(&body, family), 0, "{family}");
     }
+    // The cache-tier families scrape in a fixed order.
+    let at = |family: &str| body.find(&format!("# HELP {family} ")).unwrap();
+    let order = [
+        "ovlp_trace_cache_hits_total",
+        "ovlp_trace_cache_misses_total",
+        "ovlp_trace_cache_evictions_total",
+        "ovlp_trace_cache_entries",
+        "ovlp_trace_cache_bytes",
+        "ovlp_variant_bundles_built_total",
+        "ovlp_jobs_retired_total",
+    ];
+    assert!(order.windows(2).all(|w| at(w[0]) < at(w[1])), "{body}");
     handle.shutdown();
 }
 
@@ -541,4 +604,54 @@ fn client_disconnect_cancels_the_job_and_frees_its_slot() {
     let summary = wait_summary(addr, "j2");
     assert!(summary.contains("\"done\":true"), "{summary}");
     handle.shutdown();
+}
+
+#[test]
+fn retired_jobs_answer_gone_and_the_registry_stays_bounded() {
+    use overlap_sim::serve::jobs::RETAINED_JOBS;
+    let store = temp_dir("retention");
+    let (addr, handle) = start(Some(store.clone()), 2);
+    let tiny = r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":4,"chunks":[1]}"#;
+    let total = RETAINED_JOBS + 3;
+    for i in 1..=total {
+        let (status, body) = http(addr, "POST", "/v1/sweeps", tiny);
+        assert_eq!(status, 202, "{body}");
+        wait_summary(addr, &format!("j{i}"));
+    }
+    // Retirement follows the report; wait for the last one.
+    let retired = || {
+        metric(
+            &http(addr, "GET", "/metrics", "").1,
+            "ovlp_jobs_retired_total",
+        )
+    };
+    while retired() < 3 {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(retired(), 3);
+
+    for route in ["", "/summary", "/report"] {
+        let (status, body) = http(addr, "GET", &format!("/v1/sweeps/j3{route}"), "");
+        assert_eq!(status, 410, "j3{route}: {body}");
+        assert!(body.contains("\"error\":"), "{body}");
+        let (status, _) = http(addr, "GET", &format!("/v1/sweeps/j4{route}"), "");
+        assert_eq!(status, 200, "j4{route} is retained");
+    }
+    let (status, _) = http(addr, "GET", &format!("/v1/sweeps/j{}", total + 1), "");
+    assert_eq!(status, 404, "an id never issued stays unknown");
+
+    let (_, index) = http(addr, "GET", "/v1/sweeps", "");
+    // every `"j…` string but the `"jobs"` key is an id
+    assert_eq!(index.matches("\"j").count() - 1, RETAINED_JOBS);
+    assert!(index.starts_with("{\"jobs\":[\"j4\","), "oldest first");
+    let (_, health) = http(addr, "GET", "/v1/health", "");
+    assert_eq!(json_u64(&health, "jobs"), RETAINED_JOBS as u64);
+    let journals = std::fs::read_dir(store.join("journal")).unwrap().count();
+    assert_eq!(
+        journals, RETAINED_JOBS,
+        "retired jobs' journals are deleted"
+    );
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
 }
